@@ -10,26 +10,18 @@ JSON document::
 Speedup is wall time of the plain run over wall time of the sharded
 run at the same host count.  ``cpu_count`` is recorded alongside the
 numbers: with fewer cores than shards the proc backend cannot beat
-the serial run, and the honest expectation is overhead, not speedup.
-The sync cost scales with the number of windows: with adaptive
-coalescing (the default) shards that provably cannot emit boundary
-messages stop bounding their peers' horizons, so the pairs sweep --
-whose min-cut sharding colocates every flow -- collapses to a single
-window.  Every sharded point is also measured with
-``coalesce=False, transport="pickle"`` so the classic fixed-window /
-per-batch-pickle cost stays on record as the baseline.
+the serial run, and the honest expectation is overhead, not speedup
+(on a 1-CPU machine the column is withheld as ``null``).  The sync
+cost scales with the number of windows: shards that provably cannot
+emit boundary messages stop bounding their peers' horizons, so the
+pairs sweep -- whose min-cut sharding colocates every flow --
+collapses to a single window.
 
 Each timed point runs ``--repeats`` times (default 3) with the GC
 collected and frozen around the timed region; the row reports the
 minimum wall and asserts the report bytes are identical across
 repeats.  Sharded rows carry the barrier accounting counters --
-``windows``, ``boundary_msgs``, ``boundary_bytes`` -- plus the
-``coalesce``/``transport`` mode that produced them.
-
-The ``boundary_transport`` section measures the struct codec against
-batched pickle on workloads whose min-cut sharding *does* cross
-shards (all2all, incast), recording the encoded bytes per transport
-and the ratio.  Both transports must produce byte-identical reports.
+``windows``, ``boundary_msgs``, ``boundary_bytes``.
 
 Event accounting
 ----------------
@@ -44,11 +36,13 @@ probes never inflate the sharded rows by construction: probes run in
 the coordinator process, and ``events_processed`` sums only the
 per-shard ``Simulator`` counters.
 
-The ``burst-pairs`` rows measure the fast path itself: whole PDUs
-submitted to the uplinks in one event each, a zero-event train sink at
-the destination edge (``Fabric.set_train_sink``), no host protocol
-stack in the loop.  That is the uncontended-segment regime the trains
-were built for, and where the >=10x events/s gain shows.
+The ``burst-pairs`` rows measure the fast path itself: each PDU's
+cells submitted to its uplink in one event, and the destination edge
+stubbed at ``Fabric._hand_over`` -- the one function every cell
+passes through into a host board, drained or fused -- so no host
+protocol stack runs in the loop.  That is the uncontended-segment
+regime the trains were built for.  The fused commit still pays one
+hand-over event per cell at the edge, exactly as in a full run.
 """
 
 from __future__ import annotations
@@ -70,6 +64,7 @@ from repro.cluster.sharded import run_cluster_sharded      # noqa: E402
 from repro.hw.specs import (                               # noqa: E402
     AAL_PAYLOAD_BYTES, DS5000_200, STRIPE_LINKS,
 )
+from repro.sim.parallel import BACKENDS                    # noqa: E402
 
 EVENT_BUDGET = 200_000_000
 
@@ -95,10 +90,10 @@ def _model_events(sim) -> int:
 
 def run_burst_point(args, n_hosts: int, trains: bool) -> dict:
     """Uncontended pairs at the fabric level: one event submits a whole
-    PDU per sender, a train sink replaces the per-cell edge, and the
-    host protocol stacks stay out of the loop.  Both train settings do
-    identical model work (the sweep asserts it), so the events/s ratio
-    is exactly the heap-operation saving."""
+    PDU per sender, cell by cell, and the host protocol stacks stay out
+    of the loop.  Both train settings do identical model work (the
+    sweep asserts it), so the events/s ratio is exactly the
+    heap-operation saving."""
     fabric = Fabric(machines=DS5000_200, n_hosts=n_hosts, n_switches=1,
                     backpressure="none", switching_delay_us=0.0,
                     prop_delay_us=args.prop_delay, trains=trains)
@@ -109,33 +104,25 @@ def run_burst_point(args, n_hosts: int, trains: bool) -> dict:
     # port keeps up and back-to-back PDUs stay uncontended.
     lane_time = fabric._uplink_by_host[0].pipes[0].cell_time_us
     pdu_span = (-(-n_cells // STRIPE_LINKS) + 1) * lane_time
+    # Neutralize the destination edge identically in both modes: cells
+    # are still counted delivered, but none reaches a host board, so
+    # neither mode pays rx-path events.
+    fabric._hand_over = lambda host_index, cell: None
+
+    def submit(uplink, cells) -> None:
+        uplink.start_pdu()
+        for cell in cells:
+            uplink.submit(cell)
 
     for src in range(0, n_hosts - 1, 2):
-        dst = src + 1
-        flow = fabric.open_flow(src, dst)
-        # Neutralize the destination edge identically in both modes:
-        # fused trains hit the sink, expanded/per-cell deliveries hit
-        # a counting stub on the downlink trunk.  Either way no cell
-        # reaches the host board, so neither mode pays rx-path events.
-        if trains:
-            fabric.set_train_sink(dst, lambda cells, deps: None)
-        d_sw, d_trunk = fabric._attach[dst]
-
-        def edge(cell, d=dst):
-            if cell.corrupted:
-                fabric._corrupted[d] += 1
-            else:
-                fabric._delivered[d] += 1
-
-        fabric.switches[d_sw]._trunk_deliver[d_trunk] = edge
-
+        flow = fabric.open_flow(src, src + 1)
         uplink = fabric._uplink_by_host[src]
         for m in range(args.burst_pdus):
             cells = [Cell(vci=flow.src_vci, payload=payload,
                           eom=(i == n_cells - 1), tx_index=i)
                      for i in range(n_cells)]
             sim.call_at(m * pdu_span,
-                        lambda u=uplink, cs=cells: u.submit_pdu(cs))
+                        lambda u=uplink, cs=cells: submit(u, cs))
 
     # The burst rows are a microbenchmark of the event core itself;
     # collector pauses (driven by the millions of cells built above)
@@ -185,8 +172,7 @@ def _one_plain(args, n_hosts: int, trains: bool) -> tuple:
                   "absorbed": fabric.sim.events_absorbed}
 
 
-def _one_sharded(args, n_hosts: int, n_shards: int, coalesce: bool,
-                 transport: str) -> tuple:
+def _one_sharded(args, n_hosts: int, n_shards: int) -> tuple:
     """One timed sharded run under a frozen GC."""
     gc.collect()
     gc.disable()
@@ -194,8 +180,7 @@ def _one_sharded(args, n_hosts: int, n_shards: int, coalesce: bool,
         start = time.perf_counter()
         report, run = run_cluster_sharded(
             _fabric_kwargs(args, n_hosts, True), _spec(args),
-            n_shards, backend=args.backend, coalesce=coalesce,
-            transport=transport)
+            n_shards, backend=args.backend)
         wall = time.perf_counter() - start
     finally:
         gc.enable()
@@ -212,8 +197,7 @@ def _timed_points(args, n_hosts: int) -> dict:
     jobs = [("plain", True), ("plain", False)]
     for n_shards in args.shards:
         if n_shards <= n_hosts:
-            jobs.append(("shard", n_shards, True, "struct"))
-            jobs.append(("shard", n_shards, False, "pickle"))
+            jobs.append(("shard", n_shards))
     results: dict = {}
     for _ in range(args.repeats):
         for job in jobs:
@@ -232,73 +216,6 @@ def _timed_points(args, n_hosts: int) -> dict:
                         f"the run is not deterministic")
                 held["wall"] = min(held["wall"], wall)
     return results
-
-
-# Workloads whose min-cut sharding crosses shards, so boundary
-# messages actually flow: this is where the struct codec is measured
-# against batched pickle.  Backends don't change the encoded bytes,
-# so the cheap inline backend keeps this section fast.
-_TRANSPORT_CONFIGS = [
-    {"name": "all2all-credit",
-     "fabric": {"backpressure": "credit", "credit_window_cells": 64,
-                "drain_policy": "rr", "n_switches": 1}},
-    {"name": "incast-efci-2sw",
-     "fabric": {"backpressure": "efci", "n_switches": 2},
-     "pattern": "incast"},
-    {"name": "all2all-none-2sw",
-     "fabric": {"backpressure": "none", "n_switches": 2}},
-]
-
-
-def run_transport_comparison(args) -> list[dict]:
-    """Struct codec vs batched pickle on cross-shard workloads:
-    encoded boundary bytes per transport, the ratio, and bytes per
-    model event.  Reports must stay byte-identical."""
-    rows = []
-    for cfg in _TRANSPORT_CONFIGS:
-        fabric_kwargs = {"machines": DS5000_200, "n_hosts": 8,
-                         "prop_delay_us": args.prop_delay,
-                         "trains": True}
-        fabric_kwargs.update(cfg["fabric"])
-        spec = WorkloadSpec(
-            pattern=cfg.get("pattern", "all2all"), kind="open",
-            seed=args.seed, message_bytes=2048, messages_per_client=2)
-        runs = {}
-        for transport in ("struct", "pickle"):
-            report, run = run_cluster_sharded(
-                fabric_kwargs, spec, 2, backend="inline",
-                transport=transport)
-            runs[transport] = {"json": report.to_json(), "run": run}
-        if runs["struct"]["json"] != runs["pickle"]["json"]:
-            raise SystemExit(
-                f"{cfg['name']}: struct transport report diverged "
-                f"from pickle -- the codec is lossy, numbers are "
-                f"meaningless")
-        struct_run = runs["struct"]["run"]
-        pickle_run = runs["pickle"]["run"]
-        model = (struct_run.events_processed
-                 + struct_run.events_absorbed)
-        ratio = (round(pickle_run.boundary_bytes
-                       / struct_run.boundary_bytes, 2)
-                 if struct_run.boundary_bytes else None)
-        rows.append({
-            "workload": cfg["name"], "hosts": 8, "shards": 2,
-            "boundary_msgs": struct_run.boundary_msgs,
-            "struct_bytes": struct_run.boundary_bytes,
-            "pickle_bytes": pickle_run.boundary_bytes,
-            "bytes_ratio": ratio,
-            "model_events": model,
-            "struct_bytes_per_model_event": round(
-                struct_run.boundary_bytes / model, 4),
-            "pickle_bytes_per_model_event": round(
-                pickle_run.boundary_bytes / model, 4),
-        })
-        print(f"transport {cfg['name']:<18} "
-              f"{struct_run.boundary_msgs:>6d} msgs  struct "
-              f"{struct_run.boundary_bytes:>8d} B  pickle "
-              f"{pickle_run.boundary_bytes:>8d} B  "
-              f"ratio {ratio}x")
-    return rows
 
 
 def run_sweep(args) -> dict:
@@ -343,55 +260,49 @@ def run_sweep(args) -> dict:
         for n_shards in args.shards:
             if n_shards > n_hosts:
                 continue
-            for coalesce, transport in ((True, "struct"),
-                                        (False, "pickle")):
-                point = timed[("shard", n_shards, coalesce, transport)]
-                wall, run = point["wall"], point["run"]
-                identical = point["json"] == plain_json
-                model = run.events_processed + run.events_absorbed
-                points.append({
-                    "workload": "pairs", "hosts": n_hosts,
-                    "shards": n_shards, "train": True,
-                    "requested_backend": args.backend,
-                    "measured_backend": args.backend,
-                    "coalesce": coalesce, "transport": transport,
-                    "repeats": args.repeats,
-                    "wall_s": round(wall, 4),
-                    "events_processed": run.events_processed,
-                    "events_absorbed": run.events_absorbed,
-                    "model_events": model,
-                    "events_per_s": round(model / wall),
-                    "windows": run.windows,
-                    "boundary_msgs": run.boundary_msgs,
-                    "boundary_bytes": run.boundary_bytes,
-                    # On a 1-CPU box the shards time-slice one core;
-                    # a "speedup" there would be measurement noise
-                    # dressed up as a claim, so it is withheld.
-                    "speedup_vs_plain": (
-                        None if single_cpu
-                        else round(plain_wall / wall, 3)),
-                    "identical_to_plain": identical,
-                })
-                speedup = ("speedup n/a (1 cpu)" if single_cpu
-                           else f"speedup {plain_wall / wall:4.2f}x")
-                mode = ("coalesce" if coalesce else "fixed   ")
-                print(f"hosts={n_hosts:<3d} {args.backend} "
-                      f"K={n_shards} {mode}  {wall:6.2f}s  "
-                      f"{model:>8d} model events  "
-                      f"{run.windows:>6d} windows  {speedup}"
-                      f"{'' if identical else '  REPORT MISMATCH'}")
-                if not identical:
-                    raise SystemExit(
-                        "sharded report diverged from the plain run "
-                        "-- determinism is broken, numbers are "
-                        "meaningless")
-                if model != plain[True]["model"]:
-                    raise SystemExit(
-                        f"sharded model-event total {model} != plain "
-                        f"{plain[True]['model']} -- the accounting is "
-                        f"broken, events/s is not comparable")
-
-    transport_rows = run_transport_comparison(args)
+            point = timed[("shard", n_shards)]
+            wall, run = point["wall"], point["run"]
+            identical = point["json"] == plain_json
+            model = run.events_processed + run.events_absorbed
+            points.append({
+                "workload": "pairs", "hosts": n_hosts,
+                "shards": n_shards, "train": True,
+                "requested_backend": args.backend,
+                "measured_backend": args.backend,
+                "repeats": args.repeats,
+                "wall_s": round(wall, 4),
+                "events_processed": run.events_processed,
+                "events_absorbed": run.events_absorbed,
+                "model_events": model,
+                "events_per_s": round(model / wall),
+                "windows": run.windows,
+                "boundary_msgs": run.boundary_msgs,
+                "boundary_bytes": run.boundary_bytes,
+                # On a 1-CPU box the shards time-slice one core;
+                # a "speedup" there would be measurement noise
+                # dressed up as a claim, so it is withheld.
+                "speedup_vs_plain": (
+                    None if single_cpu
+                    else round(plain_wall / wall, 3)),
+                "identical_to_plain": identical,
+            })
+            speedup = ("speedup n/a (1 cpu)" if single_cpu
+                       else f"speedup {plain_wall / wall:4.2f}x")
+            print(f"hosts={n_hosts:<3d} {args.backend} "
+                  f"K={n_shards}  {wall:6.2f}s  "
+                  f"{model:>8d} model events  "
+                  f"{run.windows:>6d} windows  {speedup}"
+                  f"{'' if identical else '  REPORT MISMATCH'}")
+            if not identical:
+                raise SystemExit(
+                    "sharded report diverged from the plain run "
+                    "-- determinism is broken, numbers are "
+                    "meaningless")
+            if model != plain[True]["model"]:
+                raise SystemExit(
+                    f"sharded model-event total {model} != plain "
+                    f"{plain[True]['model']} -- the accounting is "
+                    f"broken, events/s is not comparable")
 
     train_ratios = []
     for n_hosts in args.hosts:
@@ -429,7 +340,6 @@ def run_sweep(args) -> dict:
             "requested_backend": args.backend,
         },
         "points": points,
-        "boundary_transport": transport_rows,
         "train_speedup": train_ratios,
     }
     if single_cpu:
@@ -444,8 +354,7 @@ def main(argv=None) -> int:
                         s.split(",")], default=[8, 16])
     parser.add_argument("--shards", type=lambda s: [int(x) for x in
                         s.split(",")], default=[2, 4])
-    parser.add_argument("--backend", default="proc",
-                        choices=("proc", "thread", "inline"))
+    parser.add_argument("--backend", default="proc", choices=BACKENDS)
     parser.add_argument("--messages", type=int, default=8)
     parser.add_argument("--size", type=int, default=8192)
     parser.add_argument("--burst-pdus", type=int, default=64,

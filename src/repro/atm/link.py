@@ -6,7 +6,8 @@ supplied by a skew model, and are delivered *in order* (delays are
 clamped so a cell never overtakes its predecessor on the same link --
 precisely the paper's definition of skew-class misordering).
 
-Two execution modes share the identical timing model:
+Two execution modes share one arrival computation
+(fault filter, skew, in-order clamp, count):
 
 * the **per-cell pump** (default): a generator process pays one heap
   event per cell for the serialization delay;
@@ -39,7 +40,7 @@ class CellPipe:
     """One point-to-point physical channel carrying ATM cells."""
 
     def __init__(self, sim: Simulator, link_id: int,
-                 deliver: DeliverFn,
+                 deliver: Optional[DeliverFn],
                  rate_mbps: float = OC3_MBPS,
                  prop_delay_us: float = 5.0,
                  queueing_delay: Optional[Callable[[], float]] = None,
@@ -53,16 +54,16 @@ class CellPipe:
         self.name = name or f"link{link_id}"
         self.cell_time_us = ATM_CELL_BYTES * 8.0 / rate_mbps
         self.cells_carried = 0
-        self.max_queue = 0
         # Optional FaultSite (repro.faults): consulted at emission time;
         # a lost cell is simply never scheduled for delivery.
         self.fault_site = None
         self._queue: Store = Store(sim, f"{self.name}.q")
         self._last_arrival = 0.0
-        # Pluggable delivery scheduler.  A sharded fabric replaces this
-        # to route the arrival through a boundary mailbox instead of the
-        # local event queue; `arrival >= emission time + prop_delay_us`
-        # is the lookahead guarantee the replacement relies on.
+        # Per-cell delivery scheduler.  The cluster fabric replaces this
+        # to route the arrival through a keyed boundary channel instead
+        # of calling ``deliver`` (which it then leaves None);
+        # `arrival >= emission time + prop_delay_us` is the lookahead
+        # guarantee the replacement relies on.
         self.schedule_delivery: Callable[[float, Cell], None] = \
             self._schedule_local
         # Fast path (cell trains): installed by the fabric via
@@ -71,19 +72,19 @@ class CellPipe:
         self._busy_until = 0.0
         self._open_train = None
         self._deferred: deque = deque()     # (cell, t_done) pairs
-        self._inflight_starts: deque = deque()
         spawn(sim, self._pump(), f"{self.name}.pump")
 
     def enable_trains(self, train_port) -> None:
         """Switch the link to the arithmetic fast path.
 
         ``train_port`` is the fabric's emission helper for this lane's
-        boundary channel: ``emit_single(arrival, cell)`` schedules the
-        ordinary keyed per-cell event, ``open(arrival, cell)`` starts
-        a train (allocating its key block), ``append_bump()`` burns
-        one channel sequence number for an appended cell, and
-        ``allowed(cell)`` says whether trains may form at all for this
-        cell's destination (a shard forbids them across boundaries).
+        boundary channel: ``open(arrival, cell)`` starts a train
+        (allocating its key block), ``append_bump()`` burns one channel
+        sequence number for an appended cell, and ``allowed(cell)``
+        says whether trains may form at all for this cell's destination
+        (a shard forbids them across boundaries).  A cell that rides
+        alone goes out through :attr:`schedule_delivery`, exactly as
+        on the pump.
         """
         self._train_port = train_port
 
@@ -94,7 +95,6 @@ class CellPipe:
             self._submit_fast(cell)
             return
         self._queue.try_put(cell)
-        self.max_queue = max(self.max_queue, len(self._queue))
 
     # -- fast path -----------------------------------------------------------
 
@@ -104,15 +104,6 @@ class CellPipe:
         start = busy if busy > now else now
         t_done = start + self.cell_time_us
         self._busy_until = t_done
-        # max_queue tracks cells submitted but not yet serializing,
-        # exactly what the pump's Store would hold.
-        starts = self._inflight_starts
-        while starts and starts[0] <= now:
-            starts.popleft()
-        if start > now:
-            starts.append(start)
-            if len(starts) > self.max_queue:
-                self.max_queue = len(starts)
         site = self.fault_site
         if self._deferred or (site is not None
                               and site.next_scheduled() < t_done):
@@ -136,10 +127,11 @@ class CellPipe:
 
     def _finish_cell(self, cell: Cell, t_done: float,
                      absorbed: bool) -> None:
-        """Serialization finished at ``t_done``: decide fate, stamp
-        the arrival, and emit -- arithmetically (``absorbed``) or from
-        a real deferred event.  Mirrors the pump body line for line;
-        the timing math must stay bitwise identical."""
+        """Serialization finished at ``t_done``: the one arrival
+        computation -- fault filter, skew, in-order clamp, count --
+        then emission.  The pump and the deferred fallback run it from
+        a real event at ``t_done``; the fast path runs it at
+        submission (``absorbed``), folding the serialization event."""
         if absorbed:
             self.sim.events_absorbed += 1
         if self.fault_site is not None:
@@ -158,16 +150,18 @@ class CellPipe:
         arrival = t_done + self.prop_delay_us + max(0.0, extra)
         clamped = arrival < self._last_arrival
         if clamped:
+            # Cells on one physical link stay in order.
             arrival = self._last_arrival
         self._last_arrival = arrival
         self.cells_carried += 1
         port = self._train_port
         if (not absorbed or extra != 0.0 or clamped
                 or not port.allowed(cell)):
-            # Ordering can matter here (skew sample, in-order clamp,
-            # deferred fallback, or a shard boundary): per-cell event.
+            # A real serialization event (the pump, the deferred
+            # fallback), or ordering can matter here (skew sample,
+            # in-order clamp, a shard boundary): per-cell event.
             self._open_train = None
-            port.emit_single(arrival, cell)
+            self.schedule_delivery(arrival, cell)
             return
         train = self._open_train
         if train is not None and train.try_append(cell, arrival):
@@ -177,109 +171,12 @@ class CellPipe:
         if cell.eom or cell.atm_last:
             self._open_train = None     # trains carry one PDU's cells
 
-    def submit_burst(self, cells: list) -> None:
-        """Submit one PDU's slice for this lane in a single call.
-
-        Bitwise-equivalent to calling :meth:`submit` per cell, but the
-        per-cell scheduling overhead is hoisted: serialization times
-        chain through one local accumulator, the fault hazard window
-        is checked once against the last completion time, and the
-        train-port ``allowed`` check runs once (all cells of a PDU
-        share a VCI, which is all ``allowed`` may depend on).  Any
-        hazard -- deferred backlog, a scheduled fault change inside
-        the burst's span -- falls back to the per-cell path wholesale,
-        which makes the exact per-cell decisions.
-        """
-        port = self._train_port
-        if port is None or self._deferred or not cells:
-            for cell in cells:
-                self.submit(cell)
-            return
-        now = self.sim.now
-        busy = self._busy_until
-        ct = self.cell_time_us
-        start0 = busy if busy > now else now
-        # Completion times chain exactly like the per-cell path:
-        # t_done[i] = t_done[i-1] + cell_time.
-        t_dones = []
-        t = start0
-        for _ in cells:
-            t += ct
-            t_dones.append(t)
-        site = self.fault_site
-        if site is not None and site.next_scheduled() < t_dones[-1]:
-            for cell in cells:
-                self.submit(cell)
-            return
-        self._busy_until = t_dones[-1]
-        # max_queue parity: the per-cell loop appends each queued
-        # service start; within a burst every cell after the first
-        # waits, so the deque peaks at the end of the batch.
-        starts = self._inflight_starts
-        while starts and starts[0] <= now:
-            starts.popleft()
-        if start0 > now:
-            starts.append(start0)
-        starts.extend(t_dones[:-1])
-        if len(starts) > self.max_queue:
-            self.max_queue = len(starts)
-        sim = self.sim
-        sim.events_absorbed += len(cells)
-        filt = site.filter if site is not None else None
-        qd = self.queueing_delay
-        prop = self.prop_delay_us
-        lid = self.link_id
-        last = self._last_arrival
-        train = self._open_train
-        allowed = port.allowed(cells[0])
-        carried = 0
-        for cell, t_done in zip(cells, t_dones):
-            cell.link_id = lid
-            if filt is not None:
-                cell = filt(cell, t_done)
-                if cell is None:
-                    sim.note_model_time(t_done)
-                    train = None
-                    continue
-            extra = qd() if qd is not None else 0.0
-            arrival = t_done + prop + (extra if extra > 0.0 else 0.0)
-            clamped = arrival < last
-            if clamped:
-                arrival = last
-            last = arrival
-            carried += 1
-            if extra != 0.0 or clamped or not allowed:
-                train = None
-                port.emit_single(arrival, cell)
-                continue
-            if train is not None and not train.fired:
-                train.cells.append(cell)
-                train.times.append(arrival)
-                port.append_bump()
-            else:
-                train = port.open(arrival, cell)
-            if cell.eom or cell.atm_last:
-                train = None    # trains carry one PDU's cells
-        self._last_arrival = last
-        self.cells_carried += carried
-        self._open_train = train
-
     def _pump(self) -> Generator[Any, Any, None]:
         from ..sim import Delay
         while True:
             cell = yield self._queue.get()
             yield Delay(self.cell_time_us)  # serialization at line rate
-            if self.fault_site is not None:
-                cell = self.fault_site.filter(cell, self.sim.now)
-                if cell is None:
-                    continue    # lost on the wire
-            extra = self.queueing_delay() if self.queueing_delay else 0.0
-            arrival = self.sim.now + self.prop_delay_us + max(0.0, extra)
-            # Clamp: cells on one physical link stay in order.
-            arrival = max(arrival, self._last_arrival)
-            self._last_arrival = arrival
-            self.cells_carried += 1
-            self.schedule_delivery(arrival, cell)
+            self._finish_cell(cell, self.sim.now, absorbed=False)
 
     def _schedule_local(self, arrival: float, cell: Cell) -> None:
         self.sim.call_at(arrival, self._make_delivery(cell))

@@ -115,7 +115,7 @@ class SkewModel:
 class StripedLink:
     """Four cell pipes behind a per-PDU round-robin striper."""
 
-    def __init__(self, sim: Simulator, deliver: DeliverFn,
+    def __init__(self, sim: Simulator, deliver: Optional[DeliverFn],
                  skew: Optional[SkewModel] = None,
                  n_links: int = STRIPE_LINKS,
                  rate_mbps: float = OC3_MBPS,
@@ -195,33 +195,6 @@ class StripedLink:
             cell.tx_index = -1
         self.cells_sent += 1
         self.pipes[link_id].submit(cell)
-
-    def submit_pdu(self, cells: list[Cell]) -> None:
-        """Start a PDU and submit all of its cells.
-
-        When the group is healthy, the cells are stamped with their
-        canonical ``tx_index`` order, and they share one VCI, each
-        lane takes its whole slice in a single :meth:`CellPipe.
-        submit_burst` call -- the bulk-submission fast path.  Anything
-        irregular falls back to per-cell :meth:`submit`.
-        """
-        self.start_pdu()
-        if self._dead_lanes or not cells:
-            for cell in cells:
-                self.submit(cell)
-            return
-        vci = cells[0].vci
-        for i, cell in enumerate(cells):
-            if cell.tx_index != i or cell.vci != vci:
-                for c in cells:
-                    self.submit(c)
-                return
-        self.cells_sent += len(cells)
-        n = self.n_links
-        for k, pipe in enumerate(self.pipes):
-            lane_cells = cells[k::n]
-            if lane_cells:
-                pipe.submit_burst(lane_cells)
 
     @property
     def aggregate_payload_mbps(self) -> float:

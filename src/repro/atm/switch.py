@@ -56,6 +56,25 @@ BACKPRESSURE_MODES = ("none", "credit", "efci")
 DRAIN_POLICIES = ("rr", "fifo")
 
 
+def _lane(cell: Cell, n_lanes: int) -> int:
+    """The output lane ``cell`` takes on an ``n_lanes``-wide trunk, or
+    -1 on a striping width mismatch.
+
+    A striped cell keeps its PDU lane (``tx_index mod n``); arriving
+    stamped with the upstream lane it rode, the two must agree, or the
+    modulo would silently put the cell on the wrong lane and break the
+    reassembly invariant.  An unstamped cell (re-spread over a degraded
+    group) keeps its upstream lane, which must exist downstream."""
+    if cell.tx_index >= 0:
+        lane = cell.tx_index % n_lanes
+        if cell.link_id >= 0 and cell.link_id != lane:
+            return -1
+        return lane
+    if cell.link_id >= n_lanes:
+        return -1
+    return cell.link_id % n_lanes
+
+
 @dataclass
 class _VciCounters:
     """Per-VCI occupancy counters inside one output port."""
@@ -376,49 +395,16 @@ class CellSwitch:
                 f"{self.name}: cell for VCI {cell.vci} routed to remote "
                 f"trunk {trunk_id}; the owning shard must queue it")
         ports = self._trunks[trunk_id]
-        if cell.tx_index >= 0:
-            lane = cell.tx_index % len(ports)
-            # A striped cell arrives stamped with the upstream lane it
-            # rode; if the trunk's lane count disagrees with the
-            # upstream striping width the modulo would silently put the
-            # cell on the wrong lane, breaking the reassembly invariant.
-            if cell.link_id >= 0 and cell.link_id != lane:
-                raise SimulationError(
-                    f"{self.name}: striping width mismatch on trunk "
-                    f"{trunk_id}: cell tx_index {cell.tx_index} rode "
-                    f"upstream lane {cell.link_id} but the trunk has "
-                    f"{len(ports)} lanes")
-        else:
-            if cell.link_id >= len(ports):
-                raise SimulationError(
-                    f"{self.name}: striping width mismatch on trunk "
-                    f"{trunk_id}: unstamped cell from upstream lane "
-                    f"{cell.link_id} but the trunk has "
-                    f"{len(ports)} lanes")
-            lane = cell.link_id % len(ports)
+        lane = _lane(cell, len(ports))
+        if lane < 0:
+            raise SimulationError(
+                f"{self.name}: striping width mismatch on trunk "
+                f"{trunk_id}: cell (tx_index {cell.tx_index}) rode "
+                f"upstream lane {cell.link_id} but the trunk has "
+                f"{len(ports)} lanes")
         rewritten = cell.rewrite(out_vci, lane, cell.efci)
         if self._admit(ports[lane], rewritten):
             self.cells_switched += 1
-
-    def _train_lane(self, ports: list, cells: list) -> Optional[int]:
-        """The single output lane all of a train's cells map to, or
-        None when any cell disagrees (the per-cell path must run so
-        its width-mismatch diagnostics fire exactly as before)."""
-        lane = -1
-        for cell in cells:
-            if cell.tx_index >= 0:
-                mapped = cell.tx_index % len(ports)
-                if cell.link_id >= 0 and cell.link_id != mapped:
-                    return None
-            else:
-                if cell.link_id >= len(ports):
-                    return None
-                mapped = cell.link_id % len(ports)
-            if lane < 0:
-                lane = mapped
-            elif mapped != lane:
-                return None
-        return lane
 
     def input_train(self, train: CellTrain) -> Optional[tuple]:
         """Absorb a whole cell train in one fused commit, if safe.
@@ -448,8 +434,11 @@ class CellSwitch:
             return None
         if self._trunk_route_count.get(trunk_id, 0) != 1:
             return None
-        lane = self._train_lane(ports, cells)
-        if lane is None:
+        # Every cell must map to one lane; on any disagreement the
+        # per-cell path runs, so its width-mismatch diagnostic fires.
+        lane = _lane(cells[0], len(ports))
+        if lane < 0 or any(_lane(cell, len(ports)) != lane
+                           for cell in cells):
             return None
         port = ports[lane]
         if (port.fault_dead or port.no_fuse

@@ -25,6 +25,7 @@ from .bench import (
 )
 from .hw.dma import DmaMode
 from .hw.specs import DEC3000_600, DS5000_200, MachineSpec
+from .sim.parallel import BACKENDS
 
 QUICK_SIZES = (1, 4, 16, 64, 256)
 FULL_SIZES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -93,6 +94,18 @@ def _cmd_cluster(args) -> None:
         Fabric, WorkloadSpec, collect, run_workload, sweep_offered_load,
     )
     from .sim import SimulationError
+
+    # Reject values the model would silently misread (a shard count
+    # below one runs unsharded, a negative rate runs unpaced) or only
+    # trip over mid-run, before anything is built.
+    for flag, value in (("--shards", args.shards),
+                        ("--window", args.window),
+                        ("--size", args.size)):
+        if value < 1:
+            raise SystemExit(f"cluster: {flag} must be >= 1, got {value}")
+    if args.rate < 0.0:
+        raise SystemExit(
+            f"cluster: --rate must be >= 0 (0 = unpaced), got {args.rate}")
 
     segment = (SegmentMode.SEQUENCE if args.segment == "sequence"
                else SegmentMode.IN_ORDER)
@@ -173,7 +186,6 @@ def _cmd_cluster(args) -> None:
             report, _run = run_cluster_sharded(
                 fabric_kwargs, spec, args.shards,
                 backend=args.shard_backend, sanitize=args.sanitize,
-                coalesce=args.coalesce,
                 trace_path=args.trace_out)
             print(report.to_json() if args.json else report.render())
             return
@@ -353,21 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "(conservative window sync; results are "
                               "bit-identical to --shards 1)")
     cluster.add_argument("--shard-backend", default="proc",
-                         choices=["proc", "thread", "inline"],
+                         choices=BACKENDS,
                          help="execution backend for --shards > 1: "
-                              "processes (parallel), threads, or an "
-                              "in-process loop (debugging)")
-    cluster.add_argument("--coalesce", action="store_true",
-                         default=True,
-                         help="adaptive window coalescing: shards "
-                              "that provably cannot emit cross-shard "
-                              "messages stop bounding their peers' "
-                              "horizons (default; reports stay "
-                              "byte-identical)")
-    cluster.add_argument("--no-coalesce", dest="coalesce",
-                         action="store_false",
-                         help="classic fixed-width windows (one "
-                              "lookahead per barrier)")
+                              "processes (parallel) or an in-process "
+                              "loop (debugging)")
     cluster.add_argument("--trace-out", metavar="FILE", default=None,
                          help="record every cross-shard boundary "
                               "send/delivery into a happens-before "
@@ -430,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--quick", action="store_true")
     chaos.add_argument("--shards", default="1,2",
                        help="comma-separated shard counts to compare")
-    chaos.add_argument("--backend", default="thread",
-                       choices=("proc", "thread", "inline"))
+    chaos.add_argument("--backend", default="inline", choices=BACKENDS)
     chaos.add_argument("--sanitize", action="store_true",
                        help="run the matrix with the runtime "
                             "sanitizers enabled")

@@ -69,6 +69,7 @@ the single emitting site).  Two consequences:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..atm.aal5 import SegmentMode
@@ -128,19 +129,17 @@ class Flow:
     dst_vci: int
 
 
-class _UplinkTrainPort:
-    """One uplink lane's emission helper for the cell-train fast path.
+class _UplinkPort:
+    """One uplink lane's end of its boundary channel ``("up", host,
+    lane)``.
 
-    A :class:`~repro.atm.link.CellPipe` in fast mode calls back here
-    as each cell finishes serializing: ``emit_single`` schedules the
-    ordinary keyed boundary event (consuming the lane channel's next
-    sequence number, exactly as the per-cell path would), ``open``
-    starts a train whose event is keyed with the first cell's channel
-    position, ``append_bump`` burns one sequence number for a cell the
-    open train absorbed, and ``allowed`` asks the fabric whether this
-    cell's switch-arrival would stay on the local simulator -- trains
-    never cross shard boundaries.  ``allowed`` may depend on nothing
-    but the cell's VCI: burst submission checks it once per PDU.
+    The lane's :class:`~repro.atm.link.CellPipe` hands every finished
+    cell here.  ``emit_single`` (the pipe's ``schedule_delivery``)
+    sends the cell alone as a keyed boundary message.  With trains on,
+    ``open`` starts a train keyed with the cell's channel position,
+    ``append_bump`` burns the position of each cell the open train
+    absorbs, and ``allowed`` says whether the cell's switch arrival
+    stays on this simulator -- trains never cross shard boundaries.
     """
 
     __slots__ = ("fabric", "host_index", "switch_index", "chan")
@@ -167,8 +166,7 @@ class _UplinkTrainPort:
         fabric = self.fabric
         key = fabric._chan_key(*self.chan)
         train = CellTrain([cell], [arrival], self.chan, key[-1])
-        fabric._emit_train(arrival, key, train, self.switch_index,
-                           self.host_index)
+        fabric._emit_train(train, self.switch_index, self.host_index)
         return train
 
     def append_bump(self) -> None:
@@ -181,13 +179,14 @@ class Fabric:
     """N hosts wired through one or more output-queued cell switches.
 
     All cross-shard effects are applied by the boundary dispatcher
-    (``_apply_boundary`` / ``_apply_train``), the only context allowed
-    to touch remote-visible state (RACE202); ``_dispatch_fused`` is
-    the fused cell-train fold, where order-sensitive operations are
-    banned (RACE203) because one event stands in for many cells.
+    (``_apply_boundary``, and ``_arrive`` for every cell or train
+    reaching a switch), the only context allowed to touch
+    remote-visible state (RACE202).  ``_depart`` carries a fused
+    cell-train commit's departures, where order-sensitive operations
+    are banned (RACE203) because one event stands in for many cells.
 
-    Boundary: _apply_boundary, _apply_train
-    Fold: _dispatch_fused
+    Boundary: _apply_boundary, _arrive
+    Fold: _depart
     """
 
     def __init__(self, machines: Union[MachineSpec, Sequence[MachineSpec]],
@@ -290,9 +289,6 @@ class Fabric:
         # The direct topology keeps the per-cell pump -- it has no
         # boundary channels for trains to ride.
         self.trains = bool(trains) and topology != "direct"
-        # host index -> train-aware edge sink (benchmark harnesses):
-        # replaces per-cell delivery events for fused trains.
-        self._train_sinks: dict[int, object] = {}
         self.faults = faults
         # Recovery control plane (repro.recovery): constructed last,
         # after wiring and fault scheduling, but the attribute must
@@ -414,13 +410,7 @@ class Fabric:
         kind = msg[0]
         if kind == "in":
             _, switch_index, host_index, cell = msg
-            if host_index >= 0:
-                self._uplink_arrived[host_index] += 1
-            else:
-                self._isw_in_flight -= 1
-            if self.recovery is not None:
-                self.recovery.note_arrival(switch_index, cell.vci)
-            self.switches[switch_index].input_cell(cell)
+            self._arrive(switch_index, host_index, cell)
         elif kind == "refill":
             _, src, vci = msg
             self.gates[src].refill(vci)
@@ -442,7 +432,14 @@ class Fabric:
         key = self._chan_key(*chan)
         self.sim.call_at(when, lambda: self._apply_boundary(msg), key=key)
 
-    # -- cell trains --------------------------------------------------------------
+    # -- the hop pipeline ---------------------------------------------------------
+    #
+    # A cell crosses the fabric as: uplink lane -> switch arrival
+    # (``_arrive``) -> output port -> an inter-switch hop (``_emit_isw``,
+    # arriving at the next switch one propagation delay later) or the
+    # host edge (``_edge``, then ``_hand_over`` to the board).  A cell
+    # train rides the same functions -- a lone cell is a train of
+    # length 1 -- with ``_depart`` standing in for the drain loop.
 
     def _train_local(self, switch_index: int, host_index: int,
                      cell) -> bool:
@@ -451,134 +448,154 @@ class Fabric:
         only when the arrival would stay on its own simulator."""
         return True
 
-    def _emit_train(self, when: float, key: tuple, train: CellTrain,
-                    switch_index: int, host_index: int) -> None:
-        """Schedule a train's single arrival event.  Always local:
-        trains form only when ``_train_local`` said the arrival stays
-        on this simulator."""
+    def _emit_train(self, train: CellTrain, switch_index: int,
+                    host_index: int) -> None:
+        """Schedule a train's one arrival event, keyed as its head
+        would be alone.  Always local: trains form only where
+        ``_train_local`` said the arrival stays on this simulator."""
         self.sim.call_at(
-            when,
-            lambda: self._apply_train(train, switch_index, host_index),
-            key=key)
+            train.times[0],
+            lambda: self._arrive(switch_index, host_index,
+                                 train.cells[0], train),
+            key=train.key)
 
-    def _apply_train(self, train: CellTrain, switch_index: int,
-                     host_index: int) -> None:
-        """A train's arrival event: fuse it into the switch, or expand
-        it back into the per-cell events the plain path would have run
-        (same times, same ordering keys)."""
-        train.fired = True
-        # The commit event *is* the first cell's arrival (same time,
-        # same key), so convergence stamps agree with the per-cell
-        # path whether or not the train fuses.
+    def _arrive(self, switch_index: int, host_index: int, cell,
+                train: Optional[CellTrain] = None) -> None:
+        """One switch-arrival event: ``cell`` alone, or the head of
+        ``train``.  ``host_index`` is the uplink's host, or -1 for an
+        inter-switch hop.  A train fuses into the switch in one commit
+        when it can, and otherwise expands.
+        """
+        # This event *is* the head's arrival (same time, same key), so
+        # convergence stamps agree whether or not a train fuses.
         if self.recovery is not None:
-            self.recovery.note_arrival(switch_index,
-                                       train.cells[0].vci)
-        with maybe_actor("boundary.train-fold"):
-            result = self.switches[switch_index].input_train(train)
-        if result is None:
-            # This event *is* the first cell's arrival; the rest get
-            # their own keyed events at their recorded times.
-            self._expand_fire(("in", switch_index, host_index,
-                               train.cells[0]))
-            for i in range(1, len(train.cells)):
-                self.sim.call_at(
-                    train.times[i],
-                    lambda m=("in", switch_index, host_index,
-                              train.cells[i]): self._expand_fire(m),
-                    key=train.cell_key(i))
-            return
-        n = len(train.cells)
+            self.recovery.note_arrival(switch_index, cell.vci)
+        switch = self.switches[switch_index]
+        fused = None
+        if train is not None:
+            train.fired = True
+            with maybe_actor("boundary.train-fold"):
+                fused = switch.input_train(train)
+            if fused is None:
+                self._expand(train, switch_index, host_index)
+        n = 1 if fused is None else len(train.cells)
         if host_index >= 0:
             self._uplink_arrived[host_index] += n
         else:
             self._isw_in_flight -= n
-        with maybe_actor("boundary.train-fold"):
-            self._dispatch_fused(switch_index, *result)
-
-    def _expand_fire(self, msg) -> None:
-        """One expanded cell's arrival.  The pointer-ownership
-        sanitizer attributes everything downstream to the train
-        expansion path (a sub-actor of the boundary dispatcher)."""
-        with maybe_actor("boundary.train-expand"):
-            self._apply_boundary(msg)
-
-    def _dispatch_fused(self, switch_index: int, trunk_id: int,
-                        lane: int, cells_out: list,
-                        deps: list) -> None:
-        """Downstream of a fused commit: the cells have left the
-        switch at the departure times the drain loop would have
-        produced; carry them over the trunk."""
-        kind, dest = self._trunk_dest[(switch_index, trunk_id)]
-        n = len(cells_out)
-        if kind == "host":
-            # Edge counters move at commit time so the conservation
-            # identity holds at every instant between here and the
-            # per-cell departures.
-            for cell in cells_out:
-                if cell.corrupted:
-                    self._corrupted[dest] += 1
-                else:
-                    self._delivered[dest] += 1
-            sink = self._train_sinks.get(dest)
-            if sink is not None:
-                # Benchmark-grade edge: the per-cell delivery events
-                # fold too.
-                self.sim.events_absorbed += n
-                sink(cells_out, deps)
-                return
-            board_deliver = self.hosts[dest].board.deliver_cell
-            hook = self.switches[switch_index].forward_hook(
-                trunk_id, cells_out[0].vci)
-            for cell, dep in zip(cells_out, deps):
-                self.sim.call_at(
-                    dep, self._edge_fire(cell, board_deliver, hook))
+        if fused is None:
+            switch.input_cell(cell)
             return
-        # Inter-switch hop: the n drain events fold into the commit
-        # (the next hop's arrival is one train event or the exact
-        # per-cell boundary messages).
+        trunk_id, _lane, cells, deps = fused
+        with maybe_actor("boundary.train-fold"):
+            self._depart(switch_index, trunk_id, cells, deps)
+
+    def _expand(self, train: CellTrain, switch_index: int,
+                host_index: int) -> None:
+        """Give every cell after a train's head the keyed arrival
+        event it would have had alone, at its recorded time."""
+        for i in range(1, len(train.cells)):
+            def arrive(c=train.cells[i]) -> None:
+                with maybe_actor("boundary.train-expand"):
+                    self._arrive(switch_index, host_index, c)
+            self.sim.call_at(train.times[i], arrive,
+                             key=train.cell_key(i))
+
+    def _depart(self, switch_index: int, trunk_id: int, cells: list,
+                deps: list) -> None:
+        """A fused commit's cells leave switch ``switch_index`` at the
+        departure times ``deps`` the drain loop would have produced.
+        Over an inter-switch trunk they ride on to the next switch.
+        Into a host they are counted now, so the conservation identity
+        holds at every instant until they depart, and each is handed
+        over by its own event at its departure time, followed by the
+        port's forward hook (a credit return) as the drain loop would
+        call it."""
+        kind, dest = self._trunk_dest[(switch_index, trunk_id)]
+        if kind == "switch":
+            self._emit_isw(switch_index, dest, cells, deps)
+            return
+        self._edge(dest, cells)
+        hook = self.switches[switch_index].forward_hook(trunk_id,
+                                                         cells[0].vci)
+        for cell, dep in zip(cells, deps):
+            def fire(c=cell) -> None:
+                with maybe_actor("boundary.train-edge"):
+                    self._hand_over(dest, c)
+                    if hook is not None:
+                        hook()
+            self.sim.call_at(dep, fire)
+
+    def _emit_isw(self, s: int, t: int, cells, deps=None) -> None:
+        """Cells leaving switch ``s`` for switch ``t``: each reaches
+        ``t`` one propagation delay after it departs, keyed on its
+        lane's channel.  Until ``t`` absorbs them they count as in
+        flight -- without that the conservation identity would
+        double-miss them.
+
+        A drained cell (``deps`` None) departs now and rides one
+        boundary message.  A fused commit's cells depart at ``deps``:
+        their drain events fold into the commit, and when ``t`` is
+        local they ride one train instead of one message each.
+        """
+        n = len(cells)
         self._isw_in_flight += n
-        self.sim.events_absorbed += n
         prop = self.prop_delay_us
-        chan = ("isw", switch_index, dest, lane)
-        if self._train_local(dest, -1, cells_out[0]):
-            key = self._chan_key(*chan)
-            train = CellTrain([cells_out[0]], [deps[0] + prop], chan,
-                              key[-1])
-            for i in range(1, n):
-                self._chan_key(*chan)
-                train.cells.append(cells_out[i])
-                train.times.append(deps[i] + prop)
-            self._emit_train(train.times[0], key, train, dest, -1)
-        else:
-            for cell, dep in zip(cells_out, deps):
-                key = self._chan_key(*chan)
-                self._emit_boundary(dep + prop, key,
-                                    ("in", dest, -1, cell))
+        chan = ("isw", s, t, cells[0].link_id)
+        if deps is None:
+            self._emit_boundary(self.sim.now + prop, self._chan_key(*chan),
+                                ("in", t, -1, cells[0]))
+            return
+        self.sim.events_absorbed += n
+        if self._train_local(t, -1, cells[0]):
+            n0 = self._chan_key(*chan)[-1]
+            self._chan_seq[chan] += n - 1       # the train's key block
+            # A loop, not a comprehension: on Python < 3.12 that would
+            # make ``prop`` a closure cell built on every drained cell.
+            train = CellTrain(cells, [], chan, n0)
+            for dep in deps:
+                train.times.append(dep + prop)
+            self._emit_train(train, t, -1)
+            return
+        for cell, dep in zip(cells, deps):
+            self._emit_boundary(dep + prop, self._chan_key(*chan),
+                                ("in", t, -1, cell))
 
-    def _edge_fire(self, cell, board_deliver, hook):
-        """One fused cell's delivery event: everything the drain
-        loop's event did at this timestamp except the counting, which
-        moved to commit time."""
-        def fire() -> None:
-            with maybe_actor("boundary.train-edge"):
-                if cell.efci:
-                    self._note_efci(cell.vci)
-                board_deliver(cell)
-                if hook is not None:
-                    hook()
-        return fire
+    def _edge(self, host_index: int, cells) -> None:
+        """Cells crossing the fabric edge into host ``host_index``:
+        the one place delivered and corrupted cells are counted."""
+        for cell in cells:
+            if cell.corrupted:
+                self._corrupted[host_index] += 1
+            else:
+                self._delivered[host_index] += 1
 
-    def set_train_sink(self, host_index: int, sink) -> None:
-        """Replace per-cell edge delivery for fused trains into
-        ``host_index`` with one ``sink(cells, deps)`` call at commit
-        time -- the benchmark harness's zero-event edge.  Only an
-        open-loop fabric qualifies: credit and EFCI edges carry
-        per-cell control-plane work that must run at departure time."""
-        if self.backpressure != "none":
-            raise SimulationError(
-                "train sinks need backpressure='none': credit and "
-                "EFCI edges do per-cell control-plane work")
-        self._train_sinks[host_index] = sink
+    def _drained(self, host_index: int, cell) -> None:
+        """One cell leaving the fabric into host ``host_index`` now --
+        drained from its downlink port, or off the direct wiring's
+        link: counted, then handed over."""
+        self._edge(host_index, (cell,))
+        self._hand_over(host_index, cell)
+
+    def _hand_over(self, host_index: int, cell) -> None:
+        """A cell's per-cell work at the host edge: the destination's
+        half of the EFCI loop, then the board."""
+        if cell.efci:
+            self._note_efci(cell.vci)
+        self.hosts[host_index].board.deliver_cell(cell)
+
+    def _note_efci(self, out_vci: int) -> None:
+        """The destination edge's half of the EFCI loop: relay a
+        congestion mark back to the flow's source, pausing it.  The
+        relay rides a boundary channel, so the pause lands one
+        propagation delay after the marked cell arrived."""
+        source = self._efci_sources.get(out_vci)
+        if source is None:
+            return
+        host_index, src_vci = source
+        key = self._chan_key("efci", out_vci)
+        self._emit_boundary(self.sim.now + self.prop_delay_us, key,
+                            ("pause", host_index, src_vci))
 
     # -- wiring ------------------------------------------------------------------
 
@@ -588,11 +605,11 @@ class Fabric:
         a, b = self.hosts
         skew_ab = self.skew
         skew_ba = self.skew.clone(1) if self.skew is not None else None
-        link_ab = StripedLink(self.sim, self._deliver_fn(1), skew=skew_ab,
-                              prop_delay_us=prop_delay_us,
+        link_ab = StripedLink(self.sim, partial(self._drained, 1),
+                              skew=skew_ab, prop_delay_us=prop_delay_us,
                               name=f"{a.name}{b.name}")
-        link_ba = StripedLink(self.sim, self._deliver_fn(0), skew=skew_ba,
-                              prop_delay_us=prop_delay_us,
+        link_ba = StripedLink(self.sim, partial(self._drained, 0),
+                              skew=skew_ba, prop_delay_us=prop_delay_us,
                               name=f"{b.name}{a.name}")
         self.uplinks = [link_ab, link_ba]
         self._uplink_by_host = {0: link_ab, 1: link_ba}
@@ -627,7 +644,8 @@ class Fabric:
             trunk = next_trunk[k]
             next_trunk[k] += 1
             if self.owns_host(i):
-                self.switches[k].add_trunk(trunk, self._deliver_fn(i))
+                self.switches[k].add_trunk(trunk,
+                                           partial(self._drained, i))
             else:
                 self.switches[k].add_remote_trunk(trunk)
             self._attach.append((k, trunk))
@@ -642,8 +660,9 @@ class Fabric:
             trunk = next_trunk[s]
             next_trunk[s] += 1
             if self._owns_interswitch(s, t):
-                self.switches[s].add_trunk(trunk,
-                                           self._isw_deliver_fn(s, t))
+                self.switches[s].add_trunk(
+                    trunk,
+                    lambda cell, s=s, t=t: self._emit_isw(s, t, (cell,)))
             else:
                 self.switches[s].add_remote_trunk(trunk)
             self._interswitch[(s, t)] = trunk
@@ -652,7 +671,7 @@ class Fabric:
         # Uplinks: each host's striped link terminates at its switch.
         # Disjoint seed offsets keep per-lane RNG streams independent
         # across hosts.  Each lane's pipe hands finished arrivals to
-        # the boundary scheduler instead of the raw event queue.
+        # its boundary channel instead of the raw event queue.
         for i in range(len(self.hosts)):
             if not self.owns_host(i):
                 continue
@@ -660,14 +679,14 @@ class Fabric:
             k = self._attach[i][0]
             skew = (self.skew.clone(i * STRIPE_LINKS)
                     if self.skew is not None else None)
-            uplink = StripedLink(self.sim, self._unexpected_delivery,
-                                 skew=skew, prop_delay_us=prop_delay_us,
+            uplink = StripedLink(self.sim, None, skew=skew,
+                                 prop_delay_us=prop_delay_us,
                                  name=f"{host.name}.up")
             for pipe in uplink.pipes:
-                self._hook_uplink_pipe(i, k, pipe)
+                port = _UplinkPort(self, i, k, pipe.link_id)
+                pipe.schedule_delivery = port.emit_single
                 if self.trains:
-                    pipe.enable_trains(
-                        _UplinkTrainPort(self, i, k, pipe.link_id))
+                    pipe.enable_trains(port)
             self.uplinks.append(uplink)
             self._uplink_by_host[i] = uplink
             self._attach_fault_sites(i, uplink)
@@ -761,65 +780,6 @@ class Fabric:
             raise SimulationError(
                 f"fault plan {what}s lane {lane}; uplinks have "
                 f"{STRIPE_LINKS} lanes")
-
-    def _deliver_fn(self, host_index: int):
-        """Count cells crossing the fabric boundary into one host."""
-        board_deliver = self.hosts[host_index].board.deliver_cell
-
-        def deliver(cell) -> None:
-            if cell.corrupted:
-                self._corrupted[host_index] += 1
-            else:
-                self._delivered[host_index] += 1
-            if cell.efci:
-                self._note_efci(cell.vci)
-            board_deliver(cell)
-
-        return deliver
-
-    def _note_efci(self, out_vci: int) -> None:
-        """The destination edge's half of the EFCI loop: relay a
-        congestion mark back to the flow's source, pausing it.  The
-        relay rides a boundary channel, so the pause lands one
-        propagation delay after the marked cell arrived."""
-        source = self._efci_sources.get(out_vci)
-        if source is None:
-            return
-        host_index, src_vci = source
-        key = self._chan_key("efci", out_vci)
-        self._emit_boundary(self.sim.now + self.prop_delay_us, key,
-                            ("pause", host_index, src_vci))
-
-    def _hook_uplink_pipe(self, host_index: int, switch_index: int,
-                          pipe) -> None:
-        """Route one uplink lane's arrivals through the boundary
-        scheduler: the pipe computes the (in-order, skewed) arrival
-        time, the boundary channel delivers the switch-input event."""
-        lane = pipe.link_id
-
-        def schedule(arrival: float, cell) -> None:
-            key = self._chan_key("up", host_index, lane)
-            self._emit_boundary(arrival, key,
-                                ("in", switch_index, host_index, cell))
-
-        pipe.schedule_delivery = schedule
-
-    def _unexpected_delivery(self, cell) -> None:
-        raise SimulationError(
-            "uplink pipe bypassed its boundary scheduler")
-
-    def _isw_deliver_fn(self, s: int, t: int):
-        """Delivery side of inter-switch trunk ``s -> t``: after the
-        drain, the cell still has a propagation delay of wire before
-        the far switch sees it."""
-
-        def deliver(cell) -> None:
-            key = self._chan_key("isw", s, t, cell.link_id)
-            self._isw_in_flight += 1
-            self._emit_boundary(self.sim.now + self.prop_delay_us, key,
-                                ("in", t, -1, cell))
-
-        return deliver
 
     # -- flow management ------------------------------------------------------------
 

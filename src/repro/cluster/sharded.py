@@ -107,10 +107,9 @@ class ShardFabric(Fabric):
     def _train_local(self, switch_index: int, host_index: int,
                      cell) -> bool:
         # Trains never cross a shard boundary: a mailboxed train could
-        # not accept appends consistently across backends (the proc
-        # backend pickles a snapshot, the inline backend shares the
-        # object).  Cells bound for another shard take per-cell
-        # boundary messages, exactly as without trains.
+        # not accept appends (the codec ships a snapshot of it).  Cells
+        # bound for another shard take per-cell boundary messages,
+        # exactly as without trains.
         return self._dest_shard(("in", switch_index, host_index,
                                  cell)) == self.shard_index
 
@@ -269,19 +268,18 @@ class ShardFabric(Fabric):
 class _ShardProgram:
     """What the window engine drives: one shard's fabric + clients.
 
-    ``codec`` (a :class:`~repro.cluster.boundary.BoundaryCodec`, or
-    None for the legacy pickled-tuple transport) tells the engine how
-    to move this shard's boundary batches; ``may_emit`` feeds the
-    adaptive window coalescing.
+    ``codec`` (a :class:`~repro.cluster.boundary.BoundaryCodec`) packs
+    this shard's boundary batches; ``may_emit`` feeds the adaptive
+    window coalescing.
     """
 
     def __init__(self, fabric: ShardFabric, clients: list,
-                 finishers: list, codec: Optional[BoundaryCodec] = None):
+                 finishers: list):
         self.fabric = fabric
         self.sim = fabric.sim
         self.clients = clients
         self.finishers = finishers
-        self.codec = codec
+        self.codec = BoundaryCodec()
 
     def may_emit(self) -> bool:
         return self.fabric.may_emit_boundary()
@@ -373,7 +371,6 @@ class _ShardProgram:
 
 def _build_shard(index: int, n_shards: int, fabric_kwargs: dict,
                  spec: WorkloadSpec, sanitize: bool = False,
-                 transport: str = "struct",
                  trace: bool = False) -> _ShardProgram:
     """Worker-side constructor (module-level so it crosses into a
     child process)."""
@@ -385,8 +382,7 @@ def _build_shard(index: int, n_shards: int, fabric_kwargs: dict,
     fabric = ShardFabric(index, n_shards, hb_trace=trace,
                          **fabric_kwargs)
     clients, finishers = setup_workload(fabric, spec)
-    codec = BoundaryCodec() if transport == "struct" else None
-    return _ShardProgram(fabric, clients, finishers, codec=codec)
+    return _ShardProgram(fabric, clients, finishers)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +543,6 @@ def merge_partials(fabric_kwargs: dict, spec: WorkloadSpec,
 def run_cluster_sharded(
         fabric_kwargs: dict, spec: WorkloadSpec, n_shards: int,
         backend: str = "proc", sanitize: bool = False,
-        coalesce: bool = True, transport: str = "struct",
         trace_path=None,
 ) -> tuple[ClusterReport, ParallelRunResult]:
     """Run one cluster workload split across ``n_shards`` simulators.
@@ -558,11 +553,6 @@ def run_cluster_sharded(
     (windows, boundary traffic, total events) for benchmarking.
     ``sanitize`` enables the runtime sanitizers inside every shard
     worker and re-checks the conservation law at each window barrier.
-    ``coalesce=False`` pins the engine to the classic fixed-width
-    windows; ``transport`` picks the boundary encoding (``"struct"``,
-    the compact fixed-record codec, or ``"pickle"``, the legacy
-    per-tuple baseline).  Neither knob changes the report -- both are
-    exercised by the byte-identity determinism tests.
     ``trace_path`` records every cross-shard boundary send and
     delivery into a happens-before trace document at that path, for
     ``repro check --replay`` (observation only; the report stays
@@ -571,21 +561,17 @@ def run_cluster_sharded(
     if backend not in BACKENDS:
         raise SimulationError(
             f"unknown shard backend {backend!r}; choose from {BACKENDS}")
-    if transport not in ("struct", "pickle"):
-        raise SimulationError(
-            f"unknown boundary transport {transport!r}; "
-            "choose 'struct' or 'pickle'")
     window_us = fabric_kwargs.get("prop_delay_us", 2.0)
     factory = functools.partial(_build_shard, n_shards=n_shards,
                                 fabric_kwargs=fabric_kwargs, spec=spec,
-                                sanitize=sanitize, transport=transport,
+                                sanitize=sanitize,
                                 trace=trace_path is not None)
     window_probe = None
     if sanitize:
         from ..analysis.sanitize import check_window_conservation
         window_probe = check_window_conservation
     run = run_shards(factory, n_shards, window_us, backend=backend,
-                     window_probe=window_probe, coalesce=coalesce)
+                     window_probe=window_probe)
     report = merge_partials(fabric_kwargs, spec, run.partials,
                             run.t_end)
     if trace_path is not None:

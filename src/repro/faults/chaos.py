@@ -25,6 +25,7 @@ import sys
 from typing import Optional
 
 from ..hw.specs import DS5000_200
+from ..sim.parallel import BACKENDS
 from .plan import FaultPlan
 
 
@@ -108,7 +109,7 @@ def build_scenarios(seed: int = 1, quick: bool = True) -> list[dict]:
 
 
 def run_scenario(scenario: dict, shard_counts: tuple[int, ...] = (1, 2),
-                 backend: str = "thread", sanitize: bool = False) -> dict:
+                 backend: str = "inline", sanitize: bool = False) -> dict:
     """Run one scenario at every shard count and check the invariants.
     Returns a result dict with ``ok`` and a list of ``failures``."""
     from ..cluster import Fabric, collect, run_workload
@@ -130,25 +131,16 @@ def run_scenario(scenario: dict, shard_counts: tuple[int, ...] = (1, 2),
                                   max_events=50_000_000)
             reports[k] = collect(fabric, result)
         else:
-            # Both window schedules must reproduce the plain run:
-            # adaptive coalescing (the default) and the classic
-            # fixed-width baseline.
-            for coalesce in (True, False):
-                label = k if coalesce else f"{k}/no-coalesce"
-                reports[label], _run = run_cluster_sharded(
-                    scenario["fabric_kwargs"], scenario["spec"], k,
-                    backend=backend, sanitize=sanitize,
-                    coalesce=coalesce)
+            reports[k], _run = run_cluster_sharded(
+                scenario["fabric_kwargs"], scenario["spec"], k,
+                backend=backend, sanitize=sanitize)
 
     base = shard_counts[0]
     base_json = reports[base].to_json()
-    for label in sorted(reports, key=str):
-        if label == base:
-            continue
-        if reports[label].to_json() != base_json:
+    for k in shard_counts[1:]:
+        if reports[k].to_json() != base_json:
             failures.append(
-                f"--shards {label} report differs from "
-                f"--shards {base}")
+                f"--shards {k} report differs from --shards {base}")
 
     report = reports[base]
     cons = report.conservation
@@ -210,7 +202,7 @@ def run_scenario(scenario: dict, shard_counts: tuple[int, ...] = (1, 2),
 
 def run_matrix(seed: int = 1, quick: bool = True,
                shard_counts: tuple[int, ...] = (1, 2),
-               backend: str = "thread",
+               backend: str = "inline",
                sanitize: bool = False) -> list[dict]:
     return [run_scenario(s, shard_counts=shard_counts, backend=backend,
                          sanitize=sanitize)
@@ -227,8 +219,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="smaller messages, fewer scenarios")
     parser.add_argument("--shards", default="1,2",
                         help="comma-separated shard counts to compare")
-    parser.add_argument("--backend", default="thread",
-                        choices=("proc", "thread", "inline"))
+    parser.add_argument("--backend", default="inline", choices=BACKENDS)
     parser.add_argument("--sanitize", action="store_true",
                         help="enable the runtime sanitizers (SRSW, "
                              "monotone time, per-window conservation)")

@@ -27,10 +27,9 @@ emission bound, so its peers' horizons stretch past it -- in the
 limit where no shard can emit (a workload whose flows never cross the
 partition cut), every shard runs to quiescence in a single window
 instead of hundreds of fixed-width barriers.  With every shard
-capable (or ``coalesce=False``) the horizons reduce exactly to the
-fixed-window formula above, so coalescing never changes *which*
-events a window may run -- only how many windows it takes -- and
-results stay byte-identical either way.
+capable the horizons reduce exactly to the fixed-window formula
+above, so coalescing never changes *which* events a window may run
+-- only how many windows it takes.
 
 A shard program is anything with::
 
@@ -38,36 +37,33 @@ A shard program is anything with::
     deliver(batch) -- schedule [(when, key, msg), ...] from peers
     drain_outbox() -- return and clear [(dest, when, key, msg), ...]
     collect(t_end) -- picklable result after the clock reaches t_end
-    codec          -- optional batch encoder (see repro.cluster.
-                      boundary); enables the compact struct transport
+    codec          -- batch encoder (a repro.cluster.boundary.
+                      BoundaryCodec or anything with its interface)
     may_emit()     -- optional capability bit for coalescing; absent
                       means "always capable"
 
-Three backends execute the shards: ``proc`` (one OS process per
-shard, the fast path), ``thread`` (one thread per shard -- no
-parallelism under the GIL, but real concurrency bugs still surface),
-and ``inline`` (a sequential loop over the shards in the calling
-thread, the debugging backend).  All three run the identical
+Two backends execute the shards: ``proc`` (one OS process per shard,
+the fast path) and ``inline`` (a sequential loop over the shards in
+the calling thread, the debugging backend).  Both run the identical
 coordinator loop, so they produce identical results.
 
-With a codec, boundary batches travel as fixed-width records instead
-of pickled tuples: the proc backend maps one anonymous shared-memory
-region per direction per worker (inherited over fork), workers encode
-their outboxes straight into it, and only a tiny ``(offset, length)``
-span crosses the pipe; thread/inline hand the encoded buffer over by
-reference.  The coordinator copies a span's bytes exactly once --
-mailboxes outlive the window that produced them, the mappings do not.
+Boundary batches travel as the codec's encoded bytes: the proc
+backend maps one anonymous shared-memory region per direction per
+worker (inherited over fork), workers encode their outboxes straight
+into it, and only a tiny ``(offset, length)`` span crosses the pipe;
+inline hands the encoded buffer over by reference.  The coordinator
+copies a span's bytes exactly once -- mailboxes outlive the window
+that produced them, the mappings do not.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import SimulationError
 
-BACKENDS = ("proc", "thread", "inline")
+BACKENDS = ("proc", "inline")
 
 # Shared-memory staging area per direction per proc-backend worker.
 # Outboxes larger than this fall back to bytes over the pipe.
@@ -86,7 +82,7 @@ class ParallelRunResult:
     events_processed: int       # summed over shards
     events_absorbed: int = 0    # per-cell events folded into trains
     boundary_msgs: int = 0      # messages exchanged between shards
-    boundary_bytes: int = 0     # transport payload bytes for them
+    boundary_bytes: int = 0     # encoded bytes that carried them
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +90,14 @@ class ParallelRunResult:
 # ---------------------------------------------------------------------------
 
 class _Worker:
-    """One shard's command executor.  Runs in the worker thread or
-    child process -- or directly in the coordinator for the inline
-    backend -- so every backend shares one implementation."""
+    """One shard's command executor.  Runs in the child process -- or
+    directly in the coordinator for the inline backend -- so every
+    backend shares one implementation."""
 
     def __init__(self, factory: Callable, index: int,
                  shm_in=None, shm_out=None):
         self.program = factory(index)
-        self.codec = getattr(self.program, "codec", None)
+        self.codec = self.program.codec
         self._may_emit = getattr(self.program, "may_emit", None)
         self._shm_in = memoryview(shm_in) if shm_in is not None else None
         self._shm_out = shm_out
@@ -137,25 +133,18 @@ class _Worker:
         raise SimulationError(f"unknown shard command {op!r}")
 
     def _deliver(self, inbox: list) -> None:
-        codec = self.codec
-        if codec is None:
-            self.program.deliver(inbox)
-            return
         for span in inbox:
             if isinstance(span, tuple):         # ("shm", off, length)
                 _, off, length = span
                 buf = self._shm_in[off:off + length]
             else:                               # standalone bytes
                 buf = span
-            self.program.deliver(codec.decode_batch(buf))
+            self.program.deliver(self.codec.decode_batch(buf))
 
-    def _pack_outbox(self):
-        outbox = self.program.drain_outbox()
+    def _pack_outbox(self) -> list:
         codec = self.codec
-        if codec is None or not outbox:
-            return outbox
         by_dest: dict[int, list] = {}
-        for dest, when, key, msg in outbox:
+        for dest, when, key, msg in self.program.drain_outbox():
             by_dest.setdefault(dest, []).append((when, key, msg))
         payload = []
         cursor = 0
@@ -169,14 +158,14 @@ class _Worker:
                     cursor = end
             if span is None:                    # no shm, or overflow
                 span = codec.encode_batch(batch)
-            payload.append(("enc", dest, len(batch),
+            payload.append((dest, len(batch),
                             min(when for when, _k, _m in batch), span))
         return payload
 
 
 def _serve(factory: Callable, index: int, recv: Callable,
            send: Callable, shm_in=None, shm_out=None) -> None:
-    """Run one shard's command loop (in a thread or child process)."""
+    """Run one shard's command loop in a child process."""
     try:
         worker = _Worker(factory, index, shm_in, shm_out)
         send(worker.ready())
@@ -197,7 +186,7 @@ class _Channel:
     """Coordinator's handle on one worker: send a command, await a
     reply.  Subclasses bind the transport; the span methods let the
     proc backend stage encoded batches in shared memory while the
-    in-process backends pass buffers by reference."""
+    inline backend passes buffers by reference."""
 
     def send(self, cmd: tuple) -> None:
         raise NotImplementedError
@@ -244,29 +233,6 @@ class _InlineChannel(_Channel):
 
     def _recv(self) -> tuple:
         return self._reply
-
-
-class _ThreadChannel(_Channel):
-    def __init__(self, factory: Callable, index: int):
-        import queue
-        import threading
-        self._to_worker: "queue.Queue" = queue.Queue()
-        self._from_worker: "queue.Queue" = queue.Queue()
-        self._thread = threading.Thread(
-            target=_serve,
-            args=(factory, index, self._to_worker.get,
-                  self._from_worker.put),
-            name=f"shard-{index}", daemon=True)
-        self._thread.start()
-
-    def send(self, cmd: tuple) -> None:
-        self._to_worker.put(cmd)
-
-    def _recv(self) -> tuple:
-        return self._from_worker.get()
-
-    def close(self) -> None:
-        self._thread.join(timeout=10.0)
 
 
 class _ProcChannel(_Channel):
@@ -330,8 +296,6 @@ def _open_channels(factory: Callable, n_shards: int,
                    backend: str) -> list:
     if backend == "inline":
         return [_InlineChannel(factory, i) for i in range(n_shards)]
-    if backend == "thread":
-        return [_ThreadChannel(factory, i) for i in range(n_shards)]
     if backend == "proc":
         import multiprocessing
         try:
@@ -350,22 +314,9 @@ def _open_channels(factory: Callable, n_shards: int,
 # Coordinator
 # ---------------------------------------------------------------------------
 
-def _wire_inbox(channel: _Channel, entries: list) -> list:
-    """Turn a shard's mailbox into what goes over its channel."""
-    wire = []
-    for when, _count, data in entries:
-        if isinstance(data, tuple):             # legacy (key, msg)
-            key, msg = data
-            wire.append((when, key, msg))
-        else:                                   # encoded batch bytes
-            wire.append(channel.pack_span(data))
-    return wire
-
-
 def run_shards(factory: Callable, n_shards: int, window_us: float,
                backend: str = "proc",
                window_probe: Optional[Callable[[int, list], None]] = None,
-               coalesce: bool = True,
                ) -> ParallelRunResult:
     """Drive ``n_shards`` shard programs to global quiescence.
 
@@ -379,13 +330,8 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
     every barrier with each shard's ``program.probe()`` result -- a
     true global snapshot, since no shard is mid-event at a barrier.
     The sanitizers use it to re-assert the conservation law every
-    window instead of only at quiescence.  With coalescing the probe
-    fires once per *coalesced* window -- fewer, wider snapshots, same
-    invariant.
-
-    ``coalesce=False`` pins every shard's emission bound to the fixed
-    lookahead, reproducing the classic one-W-per-round schedule (the
-    A/B baseline for benchmarks and determinism tests).
+    window instead of only at quiescence.  The probe fires once per
+    *coalesced* window -- fewer, wider snapshots, same invariant.
     """
     if window_us <= 0.0:
         raise SimulationError(
@@ -401,8 +347,7 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
             reply = channel.recv()
             peeks.append(reply[1])
             capable.append(bool(reply[2]))
-        # Mailbox entries are (min_when, message count, data) where
-        # data is an encoded batch (bytes) or one legacy (key, msg).
+        # Mailbox entries are (min_when, message count, encoded batch).
         inboxes: list[list] = [[] for _ in range(n_shards)]
         lasts = [0.0] * n_shards
         events = [0] * n_shards
@@ -450,7 +395,7 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
             # per shard in O(1).
             eb = [_INF] * n_shards
             for i in range(n_shards):
-                if loc_min[i] < _INF and (capable[i] or not coalesce):
+                if loc_min[i] < _INF and capable[i]:
                     eb[i] = loc_min[i] + window_us
             lo = lo2 = _INF
             lo_at = -1
@@ -470,8 +415,7 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
                                   for when, _c, _d in inboxes[i])
                 if not (runnable or deliverable):
                     continue        # idle this window; keep its mailbox
-                if not runnable and coalesce and not capable[i] \
-                        and horizon < _INF:
+                if not runnable and not capable[i] and horizon < _INF:
                     # Deliver-only work on a shard that provably
                     # cannot emit: deferring it is invisible to every
                     # peer, so batch it into the shard's next real
@@ -480,7 +424,8 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
                 active.append(i)
                 channel.begin_window()
                 channel.send(("window", horizon,
-                              _wire_inbox(channel, inboxes[i])))
+                              [channel.pack_span(data)
+                               for _when, _count, data in inboxes[i]]))
                 inboxes[i] = []
             if not active:
                 # Unreachable: the shard holding the smallest finite
@@ -498,19 +443,11 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
                 events[i] = n_events
                 absorbed[i] = n_absorbed
                 capable[i] = bool(is_capable)
-                if not payload:
-                    continue
-                if payload[0][0] == "enc":
-                    for _e, dest, count, min_when, span in payload:
-                        data = channels[i].fetch(span)
-                        inboxes[dest].append((min_when, count, data))
-                        boundary_msgs += count
-                        boundary_bytes += len(data)
-                else:                           # legacy tuple transport
-                    for dest, when, key, msg in payload:
-                        inboxes[dest].append((when, 1, (key, msg)))
-                    boundary_msgs += len(payload)
-                    boundary_bytes += len(pickle.dumps(payload))
+                for dest, count, min_when, span in payload:
+                    data = channels[i].fetch(span)
+                    inboxes[dest].append((min_when, count, data))
+                    boundary_msgs += count
+                    boundary_bytes += len(data)
             windows += 1
             if window_probe is not None:
                 for channel in channels:

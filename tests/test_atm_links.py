@@ -10,6 +10,12 @@ def _cells(n, vci=1):
     return [Cell(vci=vci, payload=bytes([i % 256]) * 44) for i in range(n)]
 
 
+def _send_pdu(stripe, cells):
+    stripe.start_pdu()
+    for cell in cells:
+        stripe.submit(cell)
+
+
 def test_cell_pipe_delivers_in_order_at_line_rate():
     sim = Simulator()
     got = []
@@ -45,7 +51,7 @@ def test_striped_link_round_robin_assignment():
     got = []
     stripe = StripedLink(sim, deliver=lambda c: got.append(c))
     cells = _cells(8)
-    stripe.submit_pdu(cells)
+    _send_pdu(stripe, cells)
     sim.run()
     assert [c.link_id for c in cells] == [0, 1, 2, 3, 0, 1, 2, 3]
     assert len(got) == 8
@@ -56,8 +62,8 @@ def test_striper_resets_per_pdu():
     stripe = StripedLink(sim, deliver=lambda c: None)
     first = _cells(3)
     second = _cells(2)
-    stripe.submit_pdu(first)
-    stripe.submit_pdu(second)
+    _send_pdu(stripe, first)
+    _send_pdu(stripe, second)
     sim.run()
     assert [c.link_id for c in first] == [0, 1, 2]
     assert [c.link_id for c in second] == [0, 1]
@@ -69,7 +75,7 @@ def test_no_skew_preserves_global_order():
     stripe = StripedLink(sim, deliver=lambda c: got.append(c),
                          skew=SkewModel.none())
     cells = _cells(16)
-    stripe.submit_pdu(cells)
+    _send_pdu(stripe, cells)
     sim.run()
     assert got == cells
 
@@ -80,7 +86,7 @@ def test_skew_misorders_across_links_but_not_within():
     skew = SkewModel(fixed_offsets_us=(0.0, 30.0, 0.0, 30.0))
     stripe = StripedLink(sim, deliver=lambda c: got.append(c), skew=skew)
     cells = _cells(32)
-    stripe.submit_pdu(cells)
+    _send_pdu(stripe, cells)
     sim.run()
     assert len(got) == 32
     arrival_order = [cells.index(c) for c in got]
@@ -107,7 +113,7 @@ def test_sustained_stripe_throughput_approaches_516():
     stripe = StripedLink(sim, deliver=deliver, prop_delay_us=0.0)
     data = b"z" * (64 * 1024)
     cells = segment(data, vci=1)
-    stripe.submit_pdu(cells)
+    _send_pdu(stripe, cells)
     sim.run()
     mbps = done["bytes"] * 8.0 / done["last"]
     assert 480 < mbps < 520

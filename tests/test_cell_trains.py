@@ -188,6 +188,17 @@ class _CapturePort:
         self.seq += 1
 
 
+def _captured_pipe(sim, port, trains=True):
+    """A lane wired to ``port`` the way the fabric wires an uplink:
+    lone cells through ``schedule_delivery``, trains through the
+    port when the train path is on."""
+    pipe = CellPipe(sim, 0, None, prop_delay_us=2.0)
+    pipe.schedule_delivery = port.emit_single
+    if trains:
+        pipe.enable_trains(port)
+    return pipe
+
+
 def test_fault_arming_mid_train_defers_to_per_cell_events():
     """A scheduled fault change inside the burst's serialization span
     splits the train: cells finishing before the hazard are absorbed
@@ -195,8 +206,7 @@ def test_fault_arming_mid_train_defers_to_per_cell_events():
     the exact pump completion times."""
     sim = Simulator()
     port = _CapturePort()
-    pipe = CellPipe(sim, 0, lambda cell: None, prop_delay_us=2.0)
-    pipe.enable_trains(port)
+    pipe = _captured_pipe(sim, port)
     site = FaultSite(name="up.h0.l0", seed=1)
     pipe.fault_site = site
     # The hazard lands while cell 3 of 4 is still serializing.
@@ -222,9 +232,9 @@ def test_fault_arming_mid_train_defers_to_per_cell_events():
 def test_clean_burst_rides_one_train():
     sim = Simulator()
     port = _CapturePort()
-    pipe = CellPipe(sim, 0, lambda cell: None, prop_delay_us=2.0)
-    pipe.enable_trains(port)
-    pipe.submit_burst(_cells(7, 5))
+    pipe = _captured_pipe(sim, port)
+    for cell in _cells(7, 5):
+        pipe.submit(cell)
     assert len(port.trains) == 1
     assert len(port.trains[0]) == 5
     assert port.singles == []
@@ -233,30 +243,31 @@ def test_clean_burst_rides_one_train():
     times = port.trains[0].times
     assert times == [pytest.approx(2.0 + (i + 1) * ct)
                      for i in range(5)]
-    # eom closed the train: the next burst opens a new one.
-    pipe.submit_burst(_cells(7, 2))
+    # eom closed the train: the next PDU opens a new one.
+    for cell in _cells(7, 2):
+        pipe.submit(cell)
     assert len(port.trains) == 2
 
 
 def test_burst_submission_matches_per_cell_submission():
-    """submit_burst is an optimization, not a semantic: same trains,
-    same times, same channel-sequence positions as per-cell submit."""
+    """A PDU's cells submitted back to back ride the train path to the
+    same arrival times and channel positions the per-cell pump gives
+    them one event at a time, and the model-event totals agree."""
     results = []
-    for burst in (True, False):
+    for trains in (True, False):
         sim = Simulator()
         port = _CapturePort()
-        pipe = CellPipe(sim, 0, lambda cell: None, prop_delay_us=2.0)
-        pipe.enable_trains(port)
-        cells = _cells(7, 6)
-        if burst:
-            pipe.submit_burst(cells)
-        else:
-            for cell in cells:
-                pipe.submit(cell)
-        results.append([(t.n0, t.times, len(t)) for t in port.trains]
-                       + [("seq", port.seq),
-                          ("absorbed", sim.events_absorbed),
-                          ("mq", pipe.max_queue)])
+        pipe = _captured_pipe(sim, port, trains)
+        for cell in _cells(7, 6):
+            pipe.submit(cell)
+        sim.run()
+        positions = [(t.n0 + i, time) for t in port.trains
+                     for i, time in enumerate(t.times)]
+        positions += [(n, time) for n, (time, _cell)
+                      in enumerate(port.singles)]
+        results.append((sorted(positions), port.seq,
+                        sim.events_processed + sim.events_absorbed))
+        assert bool(port.trains) == trains
     assert results[0] == results[1]
 
 

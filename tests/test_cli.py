@@ -131,3 +131,20 @@ def test_figure_json_output(capsys):
     assert doc["unit"] == "Mbps"
     assert doc["sizes_kb"] == [4]
     assert doc["paper_peaks"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--shards", "0"], "--shards"),
+    (["--shards", "-2"], "--shards"),
+    (["--window", "0", "--backpressure", "credit"], "--window"),
+    (["--hosts", "4", "--messages", "2", "--size", "0"], "--size"),
+    (["--rate", "-5"], "--rate"),
+], ids=("shards-zero", "shards-negative", "credit-window-zero",
+        "size-zero", "rate-negative"))
+def test_cluster_rejects_bad_input_naming_the_flag(argv, flag):
+    """Inputs the model would silently misread (no sharding, no
+    pacing, a run that sends nothing) or trip over mid-run fail before
+    anything is built, with a message naming the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", *argv])
+    assert str(exc.value).startswith(f"cluster: {flag} ")

@@ -358,6 +358,6 @@ def test_chaos_credit_scenario_passes_all_invariants():
     scenario = next(s for s in build_scenarios(seed=1, quick=True)
                     if s["name"] == "credit-regen")
     result = run_scenario(scenario, shard_counts=(1, 2),
-                          backend="thread")
+                          backend="inline")
     assert result["ok"], result["failures"]
     assert result["conservation"]["holds"]

@@ -199,11 +199,9 @@ def test_recovery_report_is_shard_identical():
     plain = Fabric(**fabric_kwargs)
     result = run_workload(plain, _spec(), max_events=50_000_000)
     base = collect(plain, result).to_json()
-    for coalesce in (True, False):
-        report, _run_info = run_cluster_sharded(
-            fabric_kwargs, _spec(), 2, backend="thread",
-            coalesce=coalesce)
-        assert report.to_json() == base, f"coalesce={coalesce}"
+    report, _run_info = run_cluster_sharded(
+        fabric_kwargs, _spec(), 2, backend="inline")
+    assert report.to_json() == base
 
 
 # -- chaos harness ------------------------------------------------------------

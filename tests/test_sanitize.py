@@ -166,9 +166,9 @@ def test_sanitized_sharded_run_is_byte_identical(faulted):
                                            seed=1)
         kwargs["credit_regen_timeout_us"] = 500.0
     plain, _run = run_cluster_sharded(kwargs, _spec(), 2,
-                                      backend="thread")
+                                      backend="inline")
     sanitized, _run = run_cluster_sharded(kwargs, _spec(), 2,
-                                          backend="thread",
+                                          backend="inline",
                                           sanitize=True)
     assert sanitized.to_json() == plain.to_json()
 

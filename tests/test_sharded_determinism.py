@@ -13,6 +13,8 @@ A sampled matrix keeps the runtime sane; the full sweep lives in
 every benchmark run.
 """
 
+import pickle
+
 import pytest
 
 from repro.cluster import Fabric, WorkloadSpec, collect, run_workload
@@ -46,7 +48,7 @@ def _baseline_json(backpressure, pattern, kind="open",
     return _BASELINES[cache_key]
 
 
-@pytest.mark.parametrize("backend", ("proc", "thread"))
+@pytest.mark.parametrize("backend", ("proc", "inline"))
 @pytest.mark.parametrize("n_shards", (2, 4))
 @pytest.mark.parametrize("pattern", ("incast", "pairs", "all2all"))
 @pytest.mark.parametrize("backpressure", ("credit", "efci"))
@@ -64,55 +66,44 @@ def test_inline_backend_identical_without_backpressure():
     assert report.to_json() == _baseline_json("none", "incast")
 
 
-# -- coalescing / transport axis ----------------------------------------------
+# -- window coalescing and the boundary codec ---------------------------------
 #
-# The window schedule and the wire encoding must both be invisible:
-# any (coalesce, transport) combination yields the same bytes as the
-# plain run.  all2all crosses every min-cut, so the struct transport
-# actually carries cells here; pairs colocates every flow, so the
-# coalesced run collapses to a single window.
-
-@pytest.mark.parametrize("transport", ("struct", "pickle"))
-@pytest.mark.parametrize("coalesce", (True, False))
-def test_coalesce_transport_matrix_byte_identical(coalesce, transport):
-    report, _run = run_cluster_sharded(
-        _kwargs("credit"), _spec("all2all"), 2, backend="thread",
-        coalesce=coalesce, transport=transport)
-    assert report.to_json() == _baseline_json("credit", "all2all")
-
+# pairs colocates every flow, so the coalesced run collapses to a
+# single window; all2all crosses every min-cut, so the codec actually
+# carries cells.
 
 def test_colocated_flows_coalesce_to_one_window():
-    runs = {}
-    for coalesce in (True, False):
-        report, run = run_cluster_sharded(
-            _kwargs("credit"), _spec("pairs"), 2, backend="inline",
-            coalesce=coalesce)
-        assert report.to_json() == _baseline_json("credit", "pairs")
-        runs[coalesce] = run
+    report, run = run_cluster_sharded(
+        _kwargs("credit"), _spec("pairs"), 2, backend="inline")
+    assert report.to_json() == _baseline_json("credit", "pairs")
     # Min-cut sharding keeps every pairs flow on one shard: no shard
     # can ever emit a boundary message, so the whole run is a single
     # unbounded window instead of one barrier per lookahead.
-    assert runs[True].windows == 1
-    assert runs[True].boundary_msgs == 0
-    assert runs[True].boundary_bytes == 0
-    assert runs[False].windows > 10 * runs[True].windows
+    assert run.windows == 1
+    assert run.boundary_msgs == 0
+    assert run.boundary_bytes == 0
 
 
-def test_crossing_flows_report_boundary_traffic():
-    _report, struct_run = run_cluster_sharded(
-        _kwargs("credit"), _spec("all2all"), 2, backend="inline",
-        transport="struct")
-    _report, pickle_run = run_cluster_sharded(
-        _kwargs("credit"), _spec("all2all"), 2, backend="inline",
-        transport="pickle")
-    assert struct_run.boundary_msgs == pickle_run.boundary_msgs > 0
-    assert 0 < struct_run.boundary_bytes < pickle_run.boundary_bytes
+def test_crossing_flows_report_boundary_traffic(monkeypatch):
+    # The reference a pickled-tuple transport would ship: each shard's
+    # whole outbox, pickled once per window.
+    pickled = []
+    drain = ShardFabric.drain_outbox
 
+    def drain_and_pickle(self):
+        out = drain(self)
+        if out:
+            pickled.append(len(pickle.dumps(out)))
+        return out
 
-def test_transport_rejects_unknown_name():
-    with pytest.raises(SimulationError, match="transport"):
-        run_cluster_sharded(_kwargs("none"), _spec("pairs"), 2,
-                            transport="json")
+    monkeypatch.setattr(ShardFabric, "drain_outbox", drain_and_pickle)
+    report, run = run_cluster_sharded(
+        _kwargs("credit"), _spec("all2all"), 2, backend="inline")
+    assert report.to_json() == _baseline_json("credit", "all2all")
+    assert run.boundary_msgs > 0
+    # The fixed-width records carry the same messages in under a
+    # third of the pickled bytes.
+    assert 0 < 3 * run.boundary_bytes <= sum(pickled)
 
 
 def test_rpc_workload_identical_across_two_switches():
@@ -129,7 +120,7 @@ def test_merged_conservation_holds_and_fabric_is_quiescent():
     # hop has drained, so queued must be exactly zero and the identity
     # must close without slack.
     report, run = run_cluster_sharded(
-        _kwargs("credit"), _spec("all2all"), 4, backend="thread")
+        _kwargs("credit"), _spec("all2all"), 4, backend="inline")
     conservation = report.conservation
     assert conservation["holds"]
     assert conservation["queued"] == 0
@@ -172,7 +163,7 @@ def _fault_kwargs(spec_name):
         _FAULT_SPECS[spec_name], seed=1), credit_regen_timeout_us=500.0)
 
 
-@pytest.mark.parametrize("backend", ("proc", "thread"))
+@pytest.mark.parametrize("backend", ("proc", "inline"))
 @pytest.mark.parametrize("faultspec", sorted(_FAULT_SPECS))
 def test_sharded_identical_under_faults(faultspec, backend):
     if faultspec not in _FAULT_BASELINES:

@@ -2,7 +2,9 @@
 
 The ring relay below is the smallest model with the fabric's shape:
 every cross-shard message is stamped one lookahead after the emitting
-event.  It runs identically under all three backends.
+event.  It runs identically under both backends.  Every shard program
+carries a :class:`BoundaryCodec`; the toy messages have no fixed
+record, so they cross as the codec's pickle escape records.
 """
 
 import pytest
@@ -24,6 +26,7 @@ class RingRelay:
         self.hops = hops
         self.log = []
         self._outbox = []
+        self.codec = BoundaryCodec()
         if index == 0:
             self.sim.call_at(1.0, lambda: self._hop(0))
 
@@ -95,7 +98,7 @@ def test_worker_exception_surfaces_with_shard_index():
             raise RuntimeError("kaboom at hop")
 
     with pytest.raises(SimulationError, match=r"(?s)shard 0.*kaboom"):
-        run_shards(lambda i: Boom(i, 2, 4), 2, W, backend="thread")
+        run_shards(lambda i: Boom(i, 2, 4), 2, W, backend="proc")
 
 
 def test_engine_rejects_bad_parameters():
@@ -119,6 +122,7 @@ class SelfLooper:
         self.index = index
         self.log = []
         self._remaining = events
+        self.codec = BoundaryCodec()
         self.sim.call_at(1.0, self._tick)
 
     def may_emit(self) -> bool:
@@ -144,31 +148,23 @@ class SelfLooper:
 
 
 def test_non_capable_shards_coalesce_to_one_window():
-    runs = {}
-    for coalesce in (True, False):
-        runs[coalesce] = run_shards(lambda i: SelfLooper(i), 2, W,
-                                    backend="inline", coalesce=coalesce)
-    # Ten lookaheads of local work: the fixed schedule pays a barrier
-    # per W, the coalesced one drains everything in a single window.
-    assert runs[True].windows == 1
-    assert runs[False].windows > 3
-    assert runs[True].boundary_msgs == 0
-    assert [p["log"] for p in runs[True].partials] \
-        == [p["log"] for p in runs[False].partials]
+    run = run_shards(lambda i: SelfLooper(i), 2, W, backend="inline")
+    # Ten lookaheads of local work, which a fixed schedule would pay a
+    # barrier per W for, drain in a single window.
+    assert run.windows == 1
+    assert run.boundary_msgs == 0
+    assert [p["log"] for p in run.partials] \
+        == [[1.0 + 0.5 * k for k in range(20)]] * 2
 
 
 def test_window_probe_fires_per_coalesced_window():
-    for coalesce, expected in ((True, 1), (False, None)):
-        probes = []
-        run = run_shards(lambda i: SelfLooper(i), 2, W,
-                         backend="inline", coalesce=coalesce,
-                         window_probe=lambda w, counters:
-                         probes.append((w, counters)))
-        assert len(probes) == run.windows
-        if expected is not None:
-            assert len(probes) == expected
-        # The final probe is a true quiescence snapshot either way.
-        assert all(c["done"] == 20 for c in probes[-1][1])
+    probes = []
+    run = run_shards(lambda i: SelfLooper(i), 2, W, backend="inline",
+                     window_probe=lambda w, counters:
+                     probes.append((w, counters)))
+    assert len(probes) == run.windows == 1
+    # The final probe is a true quiescence snapshot.
+    assert all(c["done"] == 20 for c in probes[-1][1])
 
 
 class Sender:
@@ -177,6 +173,7 @@ class Sender:
     def __init__(self, n_msgs: int):
         self.sim = Simulator()
         self._outbox = []
+        self.codec = BoundaryCodec()
         for k in range(n_msgs):
             self.sim.call_at(1.0 + W * k, lambda k=k: self._emit(k))
 
@@ -201,13 +198,14 @@ class Sink:
     def __init__(self):
         self.sim = Simulator()
         self.received = []
-        self.deliver_calls = 0
+        self.flush_times = []       # sim time of each deliver() call
+        self.codec = BoundaryCodec()
 
     def may_emit(self) -> bool:
         return False
 
     def deliver(self, batch):
-        self.deliver_calls += 1
+        self.flush_times.append(self.sim.now)
         for when, key, msg in batch:
             self.sim.call_at(
                 when,
@@ -219,50 +217,34 @@ class Sink:
 
     def collect(self, t_end):
         return {"received": self.received,
-                "deliver_calls": self.deliver_calls}
+                "flush_times": self.flush_times}
 
 
 def test_deliver_only_sink_batches_into_one_window():
     n_msgs = 6
-    runs = {}
-    for coalesce in (True, False):
-        runs[coalesce] = run_shards(
-            lambda i: Sender(n_msgs) if i == 0 else Sink(), 2, W,
-            backend="inline", coalesce=coalesce)
+    run = run_shards(lambda i: Sender(n_msgs) if i == 0 else Sink(), 2,
+                     W, backend="inline")
     want = [(1.0 + W * (k + 1), ("m", k)) for k in range(n_msgs)]
-    for run in runs.values():
-        assert run.partials[1]["received"] == want
-        assert run.boundary_msgs == n_msgs
-    # Deferred deliver-only commands coalesce into a single flush;
-    # the fixed schedule wakes the sink repeatedly.
-    assert runs[True].partials[1]["deliver_calls"] == 1
-    assert runs[False].partials[1]["deliver_calls"] > 1
+    assert run.partials[1]["received"] == want
+    assert run.boundary_msgs == n_msgs
+    # Deferred deliver-only commands coalesce into a single flush
+    # (every batch lands before the sink runs at all) instead of
+    # waking the sink once per message.
+    assert set(run.partials[1]["flush_times"]) == {0.0}
 
 
 # ---------------------------------------------------------------- codec
 
 
-class CodecRing(RingRelay):
-    """RingRelay over the struct transport.  ``("hop", k)`` keys and
-    messages have no fixed record, so every boundary message rides an
-    escape record -- the transport must be transparent even then."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.codec = BoundaryCodec()
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_codec_transport_is_transparent(backend):
-    plain = run_shards(lambda i: _ring(i), 3, W, backend="inline")
-    coded = run_shards(lambda i: CodecRing(i, 3, 12), 3, W,
-                       backend=backend)
-    assert [p["log"] for p in coded.partials] \
-        == [p["log"] for p in plain.partials]
-    assert coded.t_end == plain.t_end
-    # 11 of the 12 hops cross a shard boundary; both transports must
-    # agree on the message count, and the codec must report the bytes
-    # it actually shipped.
-    assert coded.boundary_msgs == plain.boundary_msgs == 11
-    assert coded.boundary_bytes > 0
-    assert plain.boundary_bytes > 0
+    run = run_shards(lambda i: _ring(i), 3, W, backend=backend)
+    merged = sorted((entry for p in run.partials for entry in p["log"]))
+    assert merged == [(1.0 + W * k, k) for k in range(12)]
+    # 11 of the 12 hops cross a shard boundary, each alone in its
+    # window's batch; the engine counts exactly the bytes it shipped.
+    assert run.boundary_msgs == 11
+    codec = BoundaryCodec()
+    assert run.boundary_bytes == sum(
+        len(codec.encode_batch([(1.0 + W * k, ("hop", k), ("hop", k))]))
+        for k in range(1, 12))

@@ -59,7 +59,7 @@ def test_conservation_holds(kw, pattern):
 @pytest.mark.parametrize("n_shards", (1, 2, 4))
 def test_sharded_byte_identical(kw, n_shards):
     report, _run = run_cluster_sharded(kw, _spec("pairs"), n_shards,
-                                       backend="thread")
+                                       backend="inline")
     assert report.to_json() == _baseline(kw, "pairs")
 
 
@@ -72,7 +72,7 @@ def test_sharded_byte_identical_under_faults():
     plain = collect(fabric, workload).to_json()
     for n_shards in (2, 4):
         report, _run = run_cluster_sharded(kw, _spec("incast"),
-                                           n_shards, backend="thread")
+                                           n_shards, backend="inline")
         assert report.to_json() == plain
 
 
