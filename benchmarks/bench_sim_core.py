@@ -1,6 +1,6 @@
 """Micro-benchmarks for the event engine's hot paths.
 
-Three scenarios that dominate real model runs::
+Four scenarios that dominate real model runs::
 
     python benchmarks/bench_sim_core.py
 
@@ -10,6 +10,11 @@ Three scenarios that dominate real model runs::
   retransmit/watchdog pattern; exercises dead-entry compaction.
 * pending-poll -- a model that checks ``sim.pending`` between events
   (the workload engine's completion test); must be O(1), not a scan.
+* processes -- the process kernel: processor loops that each delay,
+  run a three-deep ``yield from`` chain down to ``Resource.use`` on a
+  bus that about two requests in three find free (as on the paper's
+  single-host runs), and spawn one short-lived child per iteration,
+  as the OSIRIS receive processor does per cell DMA.
 """
 
 from __future__ import annotations
@@ -20,19 +25,19 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.sim import Simulator        # noqa: E402
+from repro.sim import Delay, Resource, Simulator, spawn  # noqa: E402
 
 
-def bench_throughput(n: int = 200_000) -> float:
+def bench_throughput(n: int = 200_000) -> tuple[float, int]:
     sim = Simulator()
     start = time.perf_counter()
     for i in range(n):
         sim.call_after(float(i % 97), lambda: None)
     sim.run()
-    return time.perf_counter() - start
+    return time.perf_counter() - start, sim.events_processed
 
 
-def bench_cancel_heavy(n: int = 200_000) -> float:
+def bench_cancel_heavy(n: int = 200_000) -> tuple[float, int]:
     sim = Simulator()
 
     def tick():
@@ -45,26 +50,60 @@ def bench_cancel_heavy(n: int = 200_000) -> float:
     for _ in range(n):
         sim.call_after(1.0, tick)
     sim.run()
-    return time.perf_counter() - start
+    return time.perf_counter() - start, sim.events_processed
 
 
-def bench_pending_poll(n: int = 200_000) -> float:
+def bench_pending_poll(n: int = 200_000) -> tuple[float, int]:
     sim = Simulator()
     for i in range(n):
         sim.call_after(float(i % 97), lambda: None)
     start = time.perf_counter()
     while sim.pending:
         sim.step()
-    return time.perf_counter() - start
+    return time.perf_counter() - start, sim.events_processed
+
+
+def bench_processes(n: int = 200_000) -> tuple[float, int]:
+    sim = Simulator()
+    bus = Resource(sim, "bus")
+
+    def bus_write(hold):            # TurboChannel.dma_write's shape
+        return bus.use(hold)
+
+    def write_host(hold):           # the DMA engine's transaction
+        yield from bus_write(hold)
+
+    def transfer(hold):
+        yield from write_host(hold)
+
+    def child():
+        yield Delay(1.0)
+
+    def processor(iterations):
+        for _ in range(iterations):
+            yield Delay(0.5)
+            yield from transfer(0.2)
+            spawn(sim, child(), "child")
+
+    # Four events per iteration: the delay, the bus hold, and the
+    # child's start and delay.  Three processors on one bus leave it
+    # free for 68% of the requests.
+    processors = 3
+    for i in range(processors):
+        spawn(sim, processor(n // 4 // processors), f"processor{i}")
+    start = time.perf_counter()
+    sim.run()
+    return time.perf_counter() - start, sim.events_processed
 
 
 def main() -> int:
     for name, fn in (("throughput", bench_throughput),
                      ("cancel-heavy", bench_cancel_heavy),
-                     ("pending-poll", bench_pending_poll)):
-        wall = min(fn() for _ in range(3))
+                     ("pending-poll", bench_pending_poll),
+                     ("processes", bench_processes)):
+        wall, events = min(fn() for _ in range(3))
         print(f"{name:>14s}: {wall:6.3f} s  "
-              f"({200_000 / wall / 1e6:.2f} M events/s)")
+              f"({events / wall / 1e6:.2f} M events/s)")
     return 0
 
 

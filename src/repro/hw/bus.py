@@ -37,29 +37,29 @@ class TurboChannel:
     def dma_read(self, nbytes: int) -> Generator[Any, Any, None]:
         """One DMA transaction reading host memory (transmit direction)."""
         self.dma_bytes_read += nbytes
-        yield from self.resource.use(self.spec.dma_read_us(nbytes), PRIO_DMA)
+        return self.resource.use(self.spec.dma_read_us(nbytes), PRIO_DMA)
 
     def dma_write(self, nbytes: int) -> Generator[Any, Any, None]:
         """One DMA transaction writing host memory (receive direction)."""
         self.dma_bytes_written += nbytes
-        yield from self.resource.use(self.spec.dma_write_us(nbytes), PRIO_DMA)
+        return self.resource.use(self.spec.dma_write_us(nbytes), PRIO_DMA)
 
     def pio_read_words(self, nwords: int) -> Generator[Any, Any, None]:
         """Host CPU reads ``nwords`` from board memory, one word at a time."""
         self.pio_words += nwords
         cost = nwords * self.spec.pio_read_word_cycles * self.spec.cycle_us
-        yield from self.resource.use(cost, PRIO_CPU)
+        return self.resource.use(cost, PRIO_CPU)
 
     def pio_write_words(self, nwords: int) -> Generator[Any, Any, None]:
         """Host CPU writes ``nwords`` to board memory."""
         self.pio_words += nwords
         cost = nwords * self.spec.pio_write_word_cycles * self.spec.cycle_us
-        yield from self.resource.use(cost, PRIO_CPU)
+        return self.resource.use(cost, PRIO_CPU)
 
     def occupy(self, duration: float,
                priority: float = PRIO_CPU) -> Generator[Any, Any, None]:
         """Occupy the bus for an arbitrary duration (CPU memory traffic)."""
-        yield from self.resource.use(duration, priority)
+        return self.resource.use(duration, priority)
 
     def utilization(self, elapsed: float | None = None) -> float:
         return self.resource.utilization(elapsed)

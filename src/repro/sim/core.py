@@ -67,6 +67,21 @@ def set_sanitizer_factory(factory: Optional[Callable[[], object]]) -> None:
     _sanitizer_factory = factory
 
 
+class Delay:
+    """Process command: suspend for ``duration`` microseconds.  Defined
+    here so that both resources and the process kernel can import it."""
+
+    __slots__ = ("duration",)
+
+    def __init__(self, duration: float):
+        if duration < 0:
+            raise SimulationError(f"negative delay {duration}")
+        self.duration = duration
+
+    def __repr__(self) -> str:
+        return f"Delay({self.duration})"
+
+
 class Timer:
     """Handle for a scheduled callback; supports cancellation."""
 
@@ -92,11 +107,7 @@ class Timer:
         if self._cancelled:
             return
         self._cancelled = True
-        sim = self._sim
-        sim._live.pop(self._seq, None)
-        if (len(sim._heap) >= _COMPACT_MIN
-                and len(sim._live) * 2 < len(sim._heap)):
-            sim._compact()
+        self._sim._cancel(self._seq)
 
 
 class Simulator:
@@ -164,10 +175,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past ({time} < {self._now})"
             )
-        seq = next(self._seq)
-        self._live[seq] = (time, key, callback)
-        heapq.heappush(self._heap, (time, key, seq))
-        return Timer(self, seq, time)
+        return Timer(self, self._schedule(time, key, callback), time)
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Schedule ``callback`` after ``delay`` microseconds."""
@@ -184,11 +192,29 @@ class Simulator:
         """Number of live (non-cancelled) queued entries -- O(1)."""
         return len(self._live)
 
+    def _schedule(self, time: float, key: tuple,
+                  callback: Callable[[], None]) -> int:
+        """Queue ``callback`` at ``time >= now`` without a :class:`Timer`;
+        return the seq that :meth:`_cancel` takes."""
+        seq = next(self._seq)
+        self._live[seq] = (time, key, callback)
+        heapq.heappush(self._heap, (time, key, seq))
+        return seq
+
+    def _cancel(self, seq: int) -> None:
+        """Drop the entry ``seq`` (a no-op once it fired or was dropped)."""
+        live, heap = self._live, self._heap
+        live.pop(seq, None)
+        if len(heap) >= _COMPACT_MIN and len(live) * 2 < len(heap):
+            self._compact()
+
     def _compact(self) -> None:
-        """Drop dead tuples by rebuilding the heap from the live set."""
-        self._heap = [(time, key, seq)
-                      for seq, (time, key, _cb) in self._live.items()]
-        heapq.heapify(self._heap)
+        """Drop dead tuples by rebuilding the heap from the live set, in
+        place: the drain loop holds the list while callbacks cancel."""
+        heap = self._heap
+        heap[:] = [(time, key, seq)
+                   for seq, (time, key, _cb) in self._live.items()]
+        heapq.heapify(heap)
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
@@ -201,20 +227,34 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next event.  Returns False when queue is empty."""
+        return self._drain(None, 1) == 1
+
+    def _drain(self, horizon: Optional[float], budget: float) -> int:
+        """The event loop of :meth:`step`, :meth:`run` and
+        :meth:`run_window`: fire events below ``horizon`` (any, if None)
+        until the queue drains or ``budget`` events have fired; return
+        how many fired."""
         heap, live = self._heap, self._live
-        while heap:
-            time, _key, seq = heapq.heappop(heap)
+        pop = heapq.heappop
+        sanitizer = self.sanitizer
+        count = 0
+        while count < budget and heap:
+            time, key, seq = pop(heap)
             entry = live.pop(seq, None)
             if entry is None:
                 continue                      # cancelled
+            if horizon is not None and time >= horizon:
+                live[seq] = entry             # not due: put it back
+                heapq.heappush(heap, (time, key, seq))
+                break
             self._now = time
             self._last_event_time = time
             self.events_processed += 1
-            if self.sanitizer is not None:
-                self.sanitizer.on_event(time)
+            if sanitizer is not None:
+                sanitizer.on_event(time)
+            count += 1
             entry[2]()
-            return True
-        return False
+        return count
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains (or ``max_events`` fire).
@@ -222,20 +262,19 @@ class Simulator:
         Returns the number of events executed, so callers can tell a
         drained queue from an exhausted budget: the queue drained iff
         the return value is below ``max_events`` (always, when no
-        budget was given).
+        budget was given).  A zero budget runs nothing.
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"negative event budget {max_events}")
+        budget = _INF if max_events is None else max_events
         self._running = True
         try:
-            count = 0
-            while self.step():
-                count += 1
-                if max_events is not None and count >= max_events:
-                    return count
-            # Drained.  Folded model work may postdate the last heap
+            count = self._drain(None, budget)
+            # Drained?  Folded model work may postdate the last heap
             # event; land the clock where the per-cell run would.
-            if self._model_last > self._now:
+            if count < budget and self._model_last > self._now:
                 self._now = self._model_last
             return count
         finally:
@@ -270,28 +309,14 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
-        executed = 0
         if self.sanitizer is not None:
             self.sanitizer.window_begin(horizon)
         try:
-            if horizon == _INF:
-                # Unbounded window (a coalesced run's final drain):
-                # skip the per-event peek -- the horizon check cannot
-                # fire, and the peek's heap probe costs ~15% per event.
-                while self.step():
-                    executed += 1
-            else:
-                while True:
-                    nxt = self.peek()
-                    if nxt is None or nxt >= horizon:
-                        break
-                    self.step()
-                    executed += 1
+            return self._drain(horizon, _INF)
         finally:
             if self.sanitizer is not None:
                 self.sanitizer.window_end()
             self._running = False
-        return executed
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` without running events.
@@ -330,5 +355,5 @@ class Simulator:
             self._running = False
 
 
-__all__ = ["Simulator", "SimulationError", "Timer", "NO_KEY",
+__all__ = ["Simulator", "SimulationError", "Timer", "Delay", "NO_KEY",
            "set_sanitizer_factory"]

@@ -15,29 +15,31 @@ Supported commands (anything a process may ``yield``):
 * ``None`` -- reschedule immediately (a cooperative yield point).
 
 Resources (:mod:`repro.sim.resources`) provide further awaitables.
+
+Resume order -- the contract every model's event order rests on:
+
+* A ``Delay`` or ``None`` schedules one heap event; same-time wake-ups
+  run in the order they were scheduled.
+* A command that is ready when yielded -- a free resource unit, a put
+  into a store with room, a get from a non-empty store, a fired latch,
+  a finished process -- resumes the process at once, inside the same
+  event, before any other process runs.
+* A process woken by a release, a deposit or a fire runs to its next
+  blocking yield before the code that woke it continues.
+
+:meth:`Process._step` answers ready resource requests and puts in a
+loop instead of by recursion (a trampoline); every other command takes
+the waiter path, which resumes synchronously in the same order.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .core import SimulationError, Simulator
+from .core import NO_KEY, Delay, SimulationError, Simulator
+from .resources import _Put, _Request
 
 ProcessGen = Generator[Any, Any, Any]
-
-
-class Delay:
-    """Command: suspend the process for ``duration`` microseconds."""
-
-    __slots__ = ("duration",)
-
-    def __init__(self, duration: float):
-        if duration < 0:
-            raise SimulationError(f"negative delay {duration}")
-        self.duration = duration
-
-    def __repr__(self) -> str:
-        return f"Delay({self.duration})"
 
 
 class Signal:
@@ -123,73 +125,111 @@ class Process:
         self.failed = False
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._done_latch = Latch(f"{name}.done")
-        self._pending_timer = None
-        sim.call_now(lambda: self._step(None))
+        # Built on first join: most processes are never joined.
+        self._done_latch: Optional[Latch] = None
+        # Bound once; every wake-up and waiter registration reuses it.
+        self._resume = self._step
+        # The seq of the scheduled wake-up while sleeping, the command
+        # while blocked on a waiter, None while running or done.
+        self._pending: Any = sim._schedule(sim.now, NO_KEY, self._resume)
 
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
         # Duck-typed with Signal so `yield process` joins it.
+        if self._done_latch is None:
+            self._done_latch = Latch(f"{self.name}.done")
+            if self.done:
+                self._done_latch.fire(self.result)
         self._done_latch._add_waiter(resume)
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupted` into the process at its yield point."""
+        """Throw :class:`Interrupted` into the process at its yield point.
+
+        Only a sleeping process (one that yielded ``Delay`` or ``None``)
+        can be interrupted.  One blocked on a signal, resource, store or
+        join is registered there as a waiter, which would resume it a
+        second time, so that raises :class:`SimulationError`.
+        """
         if self.done:
             return
-        if self._pending_timer is not None:
-            self._pending_timer.cancel()
-            self._pending_timer = None
-        self._throw(Interrupted(cause))
+        pending = self._pending
+        if type(pending) is not int:
+            state = ("is running" if pending is None
+                     else f"waits on {pending!r}")
+            raise SimulationError(
+                f"cannot interrupt process {self.name!r}: it {state}")
+        self.sim._cancel(pending)
+        self._step(None, Interrupted(cause))
 
-    def _throw(self, exc: BaseException) -> None:
-        try:
-            command = self._gen.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except Interrupted:
-            self._finish(None)
-            return
-        except BaseException as err:  # propagate model bugs loudly
-            self._fail(err)
-            raise
-        self._dispatch(command)
+    def _step(self, value: Any = None,
+              exc: Optional[BaseException] = None) -> None:
+        """Resume the generator with ``value`` (or throw ``exc`` into
+        it) and run it until it sleeps, blocks or ends.
 
-    def _step(self, value: Any) -> None:
-        self._pending_timer = None
-        try:
-            command = self._gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+        Ready resource requests and store puts are answered in the loop
+        instead of through a waiter callback that would re-enter it.
+        """
+        self._pending = None
+        gen = self._gen
+        while True:
+            try:
+                if exc is None:
+                    command = gen.send(value)
+                else:
+                    command = gen.throw(exc)
+                    exc = None
+            except StopIteration as stop:
+                self._finish(stop.value)
+                return
+            except Interrupted as err:
+                if exc is None:            # raised by the model itself
+                    self._fail(err)
+                    raise
+                self._finish(None)         # an uncaught interrupt ends it
+                return
+            except BaseException as err:
+                self._fail(err)            # propagate model bugs loudly
+                raise
+            cls = type(command)
+            if cls is Delay or command is None or isinstance(command, Delay):
+                sim = self.sim
+                self._pending = sim._schedule(
+                    sim._now if command is None
+                    else sim._now + command.duration,
+                    NO_KEY, self._resume)
+                return
+            if cls is _Request:
+                resource = command.resource
+                if resource._in_use < resource.capacity:
+                    value = resource._take()      # a free unit: no waiter
+                    continue
+            elif cls is _Put:
+                store = command.store
+                if (store.capacity is None
+                        or len(store._items) < store.capacity):
+                    store._deposit(command.item)  # wakes a getter first
+                    value = None
+                    continue
+            if not hasattr(command, "_add_waiter"):
+                err = SimulationError(
+                    f"process {self.name!r} yielded unsupported {command!r}")
+                self._fail(err)
+                raise err
+            self._pending = command
+            command._add_waiter(self._resume)
             return
-        except BaseException as err:
-            self._fail(err)
-            raise
-        self._dispatch(command)
-
-    def _dispatch(self, command: Any) -> None:
-        if command is None:
-            self._pending_timer = self.sim.call_now(lambda: self._step(None))
-        elif isinstance(command, Delay):
-            self._pending_timer = self.sim.call_after(
-                command.duration, lambda: self._step(None))
-        elif hasattr(command, "_add_waiter"):
-            command._add_waiter(self._step)
-        else:
-            err = SimulationError(
-                f"process {self.name!r} yielded unsupported {command!r}")
-            self._fail(err)
-            raise err
 
     def _finish(self, result: Any) -> None:
         self.done = True
         self.result = result
-        self._done_latch.fire(result)
+        if self._done_latch is not None:
+            self._done_latch.fire(result)
 
     def _fail(self, err: BaseException) -> None:
         self.done = True
         self.failed = True
         self.error = err
-        self._done_latch.fire(None)
+        if self._done_latch is not None:
+            self._done_latch.fire(None)
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"

@@ -12,8 +12,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Optional
 
-from .core import SimulationError, Simulator
-from .process import Delay
+from .core import Delay, SimulationError, Simulator
 
 
 class Grant:
@@ -50,6 +49,9 @@ class _Request:
 
     def __lt__(self, other: "_Request") -> bool:
         return (self.priority, self.seq) < (other.priority, other.seq)
+
+    def __repr__(self) -> str:
+        return f"{self.resource.name}.request({self.priority})"
 
 
 class Resource:
@@ -92,13 +94,27 @@ class Resource:
             priority: float = 0.0) -> Generator[Any, Any, None]:
         """Subroutine: acquire, hold ``duration`` microseconds, release.
 
-        Use as ``yield from resource.use(t)`` inside a process.
+        Use as ``yield from resource.use(t)`` inside a process.  A free
+        unit is taken without yielding, exactly when a yielded request
+        would have been granted.
         """
-        grant = yield self.request(priority)
+        if self._in_use < self.capacity:
+            grant = self._take()
+        else:
+            grant = yield self.request(priority)
         try:
             yield Delay(duration)
         finally:
             grant.release()
+
+    def _take(self) -> Grant:
+        """Hand out a free unit (the caller checked there is one)."""
+        self._in_use += 1
+        self.grants += 1
+        now = self.sim._now
+        if self._busy_since is None:
+            self._busy_since = now
+        return Grant(self, now)
 
     def _enqueue(self, request: _Request) -> None:
         if self._in_use < self.capacity:
@@ -107,11 +123,7 @@ class Resource:
             heapq.heappush(self._waiting, request)
 
     def _grant(self, request: _Request) -> None:
-        self._in_use += 1
-        self.grants += 1
-        if self._busy_since is None:
-            self._busy_since = self.sim.now
-        grant = Grant(self, self.sim.now)
+        grant = self._take()
         assert request._resume is not None
         request._resume(grant)
 
@@ -149,6 +161,9 @@ class _Get:
         self._resume = resume
         self.store._enqueue_get(self)
 
+    def __repr__(self) -> str:
+        return f"{self.store.name}.get()"
+
 
 class _Put:
     __slots__ = ("store", "item", "_resume")
@@ -161,6 +176,9 @@ class _Put:
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
         self._resume = resume
         self.store._enqueue_put(self)
+
+    def __repr__(self) -> str:
+        return f"{self.store.name}.put({self.item!r})"
 
 
 class Store:

@@ -203,3 +203,24 @@ def test_same_key_same_time_falls_back_to_schedule_order():
     sim.call_at(1.0, lambda: fired.append(2), key=("k", 0))
     sim.run()
     assert fired == [1, 2]
+
+
+def test_run_with_zero_budget_runs_nothing():
+    sim = Simulator()
+    fired = []
+    sim.call_after(1.0, lambda: fired.append("x"))
+    assert sim.run(max_events=0) == 0
+    assert fired == []
+    assert sim.now == 0.0
+    assert sim.pending == 1
+    assert sim.run(max_events=1) == 1
+    assert fired == ["x"]
+
+
+def test_run_with_negative_budget_raises():
+    sim = Simulator()
+    sim.call_after(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="budget"):
+        sim.run(max_events=-5)
+    assert sim.pending == 1
+    assert sim.run() == 1           # the refused call left it usable

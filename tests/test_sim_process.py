@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim import (
-    Delay, Interrupted, Latch, SimulationError, Signal, Simulator, all_of,
-    spawn,
+    Delay, Interrupted, Latch, Resource, SimulationError, Signal, Simulator,
+    all_of, spawn,
 )
 
 
@@ -170,6 +170,73 @@ def test_interrupt_finished_process_is_noop():
     sim.run()
     p.interrupt()  # no exception
     assert p.done
+
+
+def test_interrupt_while_waiting_on_signal_raises():
+    # The waiter stays registered with the signal, so an interrupt would
+    # let the fire resume it a second time, mid-sleep.
+    sim = Simulator()
+    sig = Signal("s")
+    log = []
+
+    def waiter():
+        try:
+            value = yield sig
+            log.append(("fired", sim.now, value))
+        except Interrupted:
+            log.append(("interrupted", sim.now))
+            yield Delay(10.0)
+            log.append(("slept", sim.now))
+
+    p = spawn(sim, waiter(), "waiter")
+
+    def interrupter():
+        yield Delay(1.0)
+        with pytest.raises(SimulationError, match="'waiter'.*Signal\\('s'"):
+            p.interrupt()
+        yield Delay(2.0)
+        sig.fire("go")
+
+    spawn(sim, interrupter())
+    sim.run()
+    assert log == [("fired", 3.0, "go")]
+    assert p.done and not p.failed
+
+
+def test_interrupt_while_queued_on_resource_raises():
+    # The queued request would still be granted after the process ended,
+    # leaving the unit in use forever.
+    sim = Simulator()
+    bus = Resource(sim, "bus")
+    log = []
+
+    def holder():
+        yield from bus.use(5.0)
+
+    def user(tag, wait):
+        yield Delay(wait)
+        try:
+            grant = yield bus.request()
+        except Interrupted:
+            log.append((tag, "interrupted"))
+            return
+        log.append((tag, sim.now))
+        grant.release()
+
+    spawn(sim, holder())
+    queued = spawn(sim, user("queued", 0.0), "queued")
+    spawn(sim, user("late", 2.0))
+
+    def interrupter():
+        yield Delay(1.0)
+        with pytest.raises(SimulationError,
+                           match="'queued'.*bus.request"):
+            queued.interrupt()
+
+    spawn(sim, interrupter())
+    sim.run()
+    assert log == [("queued", 5.0), ("late", 5.0)]
+    assert bus.in_use == 0
 
 
 def test_uncaught_interrupt_terminates_process():
