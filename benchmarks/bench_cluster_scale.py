@@ -149,7 +149,7 @@ def run_burst_point(args, n_hosts: int, trains: bool) -> dict:
         "events_absorbed": sim.events_absorbed,
         "model_events": model,
         "events_per_s": round(model / wall),
-        "cells_delivered": fabric.cells_delivered(),
+        "cells_delivered": fabric.counters()["delivered"],
         "sim_time_us": round(sim.now, 4),
     }
 

@@ -22,7 +22,7 @@ Run:  python examples/cluster_incast.py
 """
 
 from repro.adc import AdcChannelDriver, AdcManager
-from repro.cluster import Fabric
+from repro.cluster import Fabric, collect
 from repro.hw import DS5000_200
 from repro.sim import Delay, spawn
 from repro.xkernel.protocols.testproto import TestProgram
@@ -75,7 +75,7 @@ def run(label: str, rate_mbps: float) -> None:
 
     expected = (N_HOSTS - 1) * MESSAGES_PER_CLIENT
     received = sum(len(s.receptions) for s in sinks)
-    conservation = fabric.conservation()
+    conservation = collect(fabric).conservation
     switch = fabric.switches[0]
     deepest = max(p.max_queue_seen for p in switch.port_stats()
                   if p.trunk_id == 0)

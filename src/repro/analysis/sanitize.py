@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Optional
 
 
 class SanitizerError(RuntimeError):
@@ -155,34 +155,25 @@ class SimSanitizer:
 # ---------------------------------------------------------------------------
 
 def check_window_conservation(window: int, probes: list) -> None:
-    """Assert the extended conservation law over per-shard probes.
+    """Assert the extended conservation law
+    (:func:`repro.cluster.metrics.conservation`) over per-shard probes.
 
     Every counter is updated transactionally inside a single event, so
     at a barrier -- no shard mid-event -- each cell sits in exactly
-    one bucket even though the shards' clocks differ: a cell parked in
-    a cross-shard mailbox is counted by its source shard's
-    ``uplink_cells_sent`` (or ``isw_in_flight``) term until the
-    destination shard absorbs it.
+    one bucket even though the shards' clocks differ.
     """
-    sent = sum(p["uplink_cells_sent"] for p in probes)
-    arrived = sum(p["uplink_arrived"] for p in probes)
-    uplink_fault_lost = sum(p["uplink_fault_lost"] for p in probes)
-    injected = sent + sum(p["cross_injected"] for p in probes)
-    delivered = sum(p["delivered"] for p in probes)
-    corrupted = sum(p["corrupted"] for p in probes)
-    queued = (sent - arrived - uplink_fault_lost
-              + sum(p["isw_in_flight"] for p in probes)
-              + sum(p["switch_queued"] for p in probes))
-    dropped = sum(p["dropped"] for p in probes)
-    lost = uplink_fault_lost + sum(p["switch_fault_lost"]
-                                   for p in probes)
-    accounted = delivered + corrupted + queued + dropped + lost
-    if injected != accounted:
+    # Deferred: the cluster package imports this module.
+    from ..cluster.metrics import conservation
+    law = conservation(probes)
+    if not law["holds"]:
+        accounted = sum(value for term, value in law.items()
+                        if term not in ("injected", "holds"))
         raise SanitizerError(
             f"conservation violated at window {window}: injected="
-            f"{injected} != delivered={delivered} + corrupted="
-            f"{corrupted} + queued={queued} + dropped={dropped} + "
-            f"lost_to_faults={lost} (= {accounted})")
+            f"{law['injected']} != delivered={law['delivered']} + "
+            f"corrupted={law['corrupted']} + queued={law['queued']} + "
+            f"dropped={law['dropped']} + lost_to_faults="
+            f"{law['lost_to_faults']} (= {accounted})")
 
 
 # ---------------------------------------------------------------------------

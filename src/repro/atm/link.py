@@ -6,29 +6,27 @@ supplied by a skew model, and are delivered *in order* (delays are
 clamped so a cell never overtakes its predecessor on the same link --
 precisely the paper's definition of skew-class misordering).
 
-Two execution modes share one arrival computation
-(fault filter, skew, in-order clamp, count):
-
-* the **per-cell pump** (default): a generator process pays one heap
-  event per cell for the serialization delay;
-* the **fast path** (:meth:`CellPipe.enable_trains`, used by the
-  cluster fabric when cell trains are on): serialization completion
-  times are computed arithmetically at submission, contiguous
-  surviving cells accumulate into a :class:`~repro.sim.trains.
-  CellTrain`, and per-cell events exist only where ordering can
-  matter -- a nonzero skew sample, an in-order clamp, or a fault
-  site with a scheduled state change due before the cell finishes
-  serializing (the *deferred* fallback, which replays the exact
-  per-cell pump event for every queued cell until the hazard passes).
+Serialization is arithmetic: :meth:`CellPipe.submit` computes each
+cell's completion time from the lane's busy-until time, and one
+arrival computation (fault filter, skew, in-order clamp, count) runs
+for every cell -- by default from a real per-cell event at that time.
+The **fast path** (:meth:`CellPipe.enable_trains`, used by the
+cluster fabric when cell trains are on) runs it at submission
+instead: contiguous surviving cells accumulate into a
+:class:`~repro.sim.trains.CellTrain`, and per-cell events exist only
+where ordering can matter -- a nonzero skew sample, an in-order
+clamp, or a fault site with a scheduled state change due before the
+cell finishes serializing (which defers every queued cell to its own
+event until the hazard passes).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Optional
+from typing import Callable, Optional
 
 from ..hw.specs import ATM_CELL_BYTES
-from ..sim import Simulator, Store, spawn
+from ..sim import Simulator
 from .cell import Cell
 
 DeliverFn = Callable[[Cell], None]
@@ -57,7 +55,6 @@ class CellPipe:
         # Optional FaultSite (repro.faults): consulted at emission time;
         # a lost cell is simply never scheduled for delivery.
         self.fault_site = None
-        self._queue: Store = Store(sim, f"{self.name}.q")
         self._last_arrival = 0.0
         # Per-cell delivery scheduler.  The cluster fabric replaces this
         # to route the arrival through a keyed boundary channel instead
@@ -67,12 +64,11 @@ class CellPipe:
         self.schedule_delivery: Callable[[float, Cell], None] = \
             self._schedule_local
         # Fast path (cell trains): installed by the fabric via
-        # enable_trains(); None means the per-cell pump owns the link.
+        # enable_trains(); None means every cell takes its own event.
         self._train_port = None
         self._busy_until = 0.0
         self._open_train = None
         self._deferred: deque = deque()     # (cell, t_done) pairs
-        spawn(sim, self._pump(), f"{self.name}.pump")
 
     def enable_trains(self, train_port) -> None:
         """Switch the link to the arithmetic fast path.
@@ -84,34 +80,27 @@ class CellPipe:
         says whether trains may form at all for this cell's destination
         (a shard forbids them across boundaries).  A cell that rides
         alone goes out through :attr:`schedule_delivery`, exactly as
-        on the pump.
+        without trains.
         """
         self._train_port = train_port
 
     def submit(self, cell: Cell) -> None:
         """Hand a cell to the link (never blocks; the pipe queues)."""
         cell.link_id = self.link_id
-        if self._train_port is not None:
-            self._submit_fast(cell)
-            return
-        self._queue.try_put(cell)
-
-    # -- fast path -----------------------------------------------------------
-
-    def _submit_fast(self, cell: Cell) -> None:
         now = self.sim.now
         busy = self._busy_until
         start = busy if busy > now else now
         t_done = start + self.cell_time_us
         self._busy_until = t_done
         site = self.fault_site
-        if self._deferred or (site is not None
-                              and site.next_scheduled() < t_done):
-            # A scheduled flap/kill lands before this cell finishes
-            # serializing: its fate cannot be decided now.  Queue it
-            # behind a real per-cell event at its completion time --
-            # the exact event the pump would have run -- and keep
-            # deferring until the backlog drains past the hazard.
+        if (self._train_port is None or self._deferred
+                or (site is not None and site.next_scheduled() < t_done)):
+            # Without a train port every cell takes its own event at
+            # its completion time.  With one, a scheduled flap/kill
+            # landing before this cell finishes serializing means its
+            # fate cannot be decided now: it takes that event too, and
+            # so does every cell behind it until the backlog drains
+            # past the hazard.
             self._open_train = None
             self._deferred.append((cell, t_done))
             if len(self._deferred) == 1:
@@ -129,9 +118,9 @@ class CellPipe:
                      absorbed: bool) -> None:
         """Serialization finished at ``t_done``: the one arrival
         computation -- fault filter, skew, in-order clamp, count --
-        then emission.  The pump and the deferred fallback run it from
-        a real event at ``t_done``; the fast path runs it at
-        submission (``absorbed``), folding the serialization event."""
+        then emission.  The per-cell event runs it at ``t_done``; the
+        fast path runs it at submission (``absorbed``), folding the
+        serialization event."""
         if absorbed:
             self.sim.events_absorbed += 1
         if self.fault_site is not None:
@@ -139,8 +128,8 @@ class CellPipe:
             if cell is None:
                 if absorbed:
                     # No later event covers a lost cell; the clock
-                    # must still land where the pump's serialization
-                    # event would have left it.  (A surviving cell is
+                    # must still land where its serialization event
+                    # would have left it.  (A surviving cell is
                     # always covered: its arrival event, train commit,
                     # or expansion all postdate t_done.)
                     self.sim.note_model_time(t_done)
@@ -157,9 +146,9 @@ class CellPipe:
         port = self._train_port
         if (not absorbed or extra != 0.0 or clamped
                 or not port.allowed(cell)):
-            # A real serialization event (the pump, the deferred
-            # fallback), or ordering can matter here (skew sample,
-            # in-order clamp, a shard boundary): per-cell event.
+            # A real serialization event, or ordering can matter
+            # here (skew sample, in-order clamp, a shard boundary):
+            # per-cell event.
             self._open_train = None
             self.schedule_delivery(arrival, cell)
             return
@@ -170,13 +159,6 @@ class CellPipe:
             self._open_train = train = port.open(arrival, cell)
         if cell.eom or cell.atm_last:
             self._open_train = None     # trains carry one PDU's cells
-
-    def _pump(self) -> Generator[Any, Any, None]:
-        from ..sim import Delay
-        while True:
-            cell = yield self._queue.get()
-            yield Delay(self.cell_time_us)  # serialization at line rate
-            self._finish_cell(cell, self.sim.now, absorbed=False)
 
     def _schedule_local(self, arrival: float, cell: Cell) -> None:
         self.sim.call_at(arrival, self._make_delivery(cell))

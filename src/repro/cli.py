@@ -15,6 +15,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -106,6 +107,25 @@ def _cmd_cluster(args) -> None:
     if args.rate < 0.0:
         raise SystemExit(
             f"cluster: --rate must be >= 0 (0 = unpaced), got {args.rate}")
+    rates = None
+    if args.sweep is not None:
+        for flag, given in (("--shards", args.shards > 1),
+                            ("--trace-out", args.trace_out)):
+            if given:
+                raise SystemExit(
+                    f"cluster: {flag} cannot be combined with --sweep "
+                    "(each sweep point is an independent plain run)")
+        rates = []
+        for token in args.sweep.split(","):
+            try:
+                rate = float(token)
+            except ValueError:
+                rate = math.nan
+            if not 0.0 <= rate < math.inf:      # nan fails too
+                raise SystemExit(
+                    f"cluster: --sweep rate {token!r} is not a number "
+                    ">= 0 (0 = unpaced)")
+            rates.append(rate)
 
     segment = (SegmentMode.SEQUENCE if args.segment == "sequence"
                else SegmentMode.IN_ORDER)
@@ -178,10 +198,6 @@ def _cmd_cluster(args) -> None:
         requests_per_client=args.messages)
     try:
         if args.shards > 1 or args.trace_out:
-            if args.sweep:
-                raise SimulationError(
-                    "--sweep runs many independent fabrics; combine "
-                    "it with --shards 1")
             from .cluster.sharded import run_cluster_sharded
             report, _run = run_cluster_sharded(
                 fabric_kwargs, spec, args.shards,
@@ -189,8 +205,7 @@ def _cmd_cluster(args) -> None:
                 trace_path=args.trace_out)
             print(report.to_json() if args.json else report.render())
             return
-        if args.sweep:
-            rates = [float(r) for r in args.sweep.split(",")]
+        if rates is not None:
             points = sweep_offered_load(make_fabric, spec, rates)
             if args.json:
                 from .bench.report import to_json

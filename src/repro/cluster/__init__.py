@@ -10,8 +10,8 @@ through one aggregated report with a cell-conservation invariant
 
 from .backpressure import BACKPRESSURE_MODES, CreditGate
 from .fabric import FIRST_FLOW_VCI, Fabric, Flow, VciAllocator
-from .metrics import ClusterReport, collect
-from .sharded import ShardFabric, merge_partials, run_cluster_sharded
+from .metrics import ClusterReport, collect, merge_partials
+from .sharded import ShardFabric, run_cluster_sharded
 from .workloads import (
     PATTERNS, ClientResult, WorkloadResult, WorkloadSpec, client_rng,
     pattern_flows, run_workload, setup_workload, sweep_offered_load,

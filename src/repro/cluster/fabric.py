@@ -68,7 +68,7 @@ the single emitting site).  Two consequences:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -79,8 +79,7 @@ from ..analysis.sanitize import maybe_actor
 from ..atm.switch import BACKPRESSURE_MODES, DRAIN_POLICIES, CellSwitch
 from ..faults import FaultPlan, FaultSite
 from ..hw.specs import STRIPE_LINKS, MachineSpec
-from ..recovery import (RecoveryConfig, RecoveryManager, combine_partials,
-                        summarize_recovery)
+from ..recovery import RecoveryConfig, RecoveryManager
 from ..sim import CellTrain, Fidelity, SimulationError, Simulator
 from ..topology import TOPOLOGIES, TopologySpec, build_ecmp_tables, build_spec
 from .backpressure import CreditGate
@@ -286,7 +285,7 @@ class Fabric:
         self.drain_policy = drain_policy
         # Cell-train fast path (repro.sim.trains): bursts of
         # contiguous cells ride single events on uncontended segments.
-        # The direct topology keeps the per-cell pump -- it has no
+        # The direct topology keeps one event per cell -- it has no
         # boundary channels for trains to ride.
         self.trains = bool(trains) and topology != "direct"
         self.faults = faults
@@ -295,7 +294,6 @@ class Fabric:
         # exist first -- route installation and boundary dispatch
         # consult it.
         self.recovery: Optional[RecoveryManager] = None
-        self._recovery_cfg = recovery
         # Driver sessions by current wire VCI, so a reroute can
         # retarget the sender in place.
         self._tx_sessions: dict[int, object] = {}
@@ -968,123 +966,72 @@ class Fabric:
 
     # -- accounting -----------------------------------------------------------------
 
-    def cells_injected(self) -> int:
-        """Cells handed to the fabric: uplink submissions plus any
-        cross traffic injected straight into switch ports."""
-        injected = sum(link.cells_sent for link in self.uplinks)
-        injected += sum(sw.cross_cells_injected for sw in self.switches)
-        return injected
-
-    def cells_delivered(self) -> int:
-        """Cells handed to a host board intact (drops beyond that
-        boundary are the host's, counted in its own stats)."""
-        return sum(self._delivered)
-
-    def cells_corrupted(self) -> int:
-        """Cells handed to a host board with a fault-flipped payload
-        bit -- the receiver's AAL5 CRC discards the enclosing PDU."""
-        return sum(self._corrupted)
-
-    def cells_lost_to_faults(self) -> int:
-        """Cells the fault plan destroyed outright: eaten on a down or
-        lossy link, or sunk by a killed switch port."""
-        return (sum(site.cells_lost for site in self._uplink_sites)
-                + sum(sw.cells_lost_to_faults for sw in self.switches))
-
-    def cells_dropped(self) -> int:
-        """Cells the fabric lost: unrouted VCIs and full ports."""
-        return sum(sw.cells_dropped for sw in self.switches)
-
-    def drop_breakdown(self) -> dict:
-        """Losses split by cause, so the report distinguishes config
-        errors (no route) from congestion (queue full)."""
+    def counters(self) -> dict:
+        """The raw cell counters :func:`repro.cluster.metrics.
+        conservation` sums: read-only and picklable, so a window
+        barrier can take them at any time."""
+        switches = self.switches
+        delivered, corrupted = sum(self._delivered), sum(self._corrupted)
         return {
-            "no_route": sum(sw.dropped_no_route for sw in self.switches),
-            "queue_full": sum(sw.dropped_queue_full
-                              for sw in self.switches),
-        }
-
-    def backpressure_stats(self) -> Optional[dict]:
-        """Flow-control counters for the cluster report, or None when
-        the fabric runs open loop (mode "none" or direct topology)."""
-        if self.backpressure == "none":
-            return None
-        stats: dict = {"mode": self.backpressure}
-        if self.backpressure == "credit":
-            stats["credit_window_cells"] = self.credit_window_cells
-            stats["regen_timeout_us"] = self.credit_regen_timeout_us
-            stats["watchdog_us"] = self.credit_watchdog_us
-        else:
-            stats["efci_pause_us"] = self.efci_pause_us
-        stats["hosts"] = [
-            {"name": host.name, **gate.stats()}
-            for host, gate in zip(self.hosts, self.gates, strict=True)
-            if host is not None
-        ]
-        return stats
-
-    def cells_queued(self) -> int:
-        """Cells currently inside the fabric: in flight on uplinks
-        plus held in switch ports.  Measured from link and switch
-        counters, independently of the delivery count -- which is what
-        makes the conservation identity a real invariant."""
-        pipe_lost = sum(site.cells_lost for site in self._uplink_sites)
-        if self.topology == "direct":
-            # No switch: in flight is everything not yet delivered,
-            # corrupted-and-delivered, or eaten by a fault site.
-            return (sum(link.cells_sent for link in self.uplinks)
-                    - self.cells_delivered() - self.cells_corrupted()
-                    - pipe_lost)
-        in_flight = (sum(link.cells_sent for link in self.uplinks)
-                     - sum(self._uplink_arrived) - pipe_lost)
-        return (in_flight + self._isw_in_flight
-                + sum(sw.queued_cells() for sw in self.switches))
-
-    def conservation(self) -> dict:
-        """The cell-conservation identity, extended for faults:
-        injected == delivered + corrupted + queued + dropped
-        + lost_to_faults (the last two fault terms are zero on a
-        perfect fabric, recovering the original law)."""
-        injected = self.cells_injected()
-        delivered = self.cells_delivered()
-        corrupted = self.cells_corrupted()
-        queued = self.cells_queued()
-        dropped = self.cells_dropped()
-        lost = self.cells_lost_to_faults()
-        return {
-            "injected": injected,
+            "uplink_cells_sent": sum(up.cells_sent for up in self.uplinks),
+            # No switch on the direct wiring: leaving the link is arriving.
+            "uplink_arrived": (delivered + corrupted
+                               if self.topology == "direct"
+                               else sum(self._uplink_arrived)),
             "delivered": delivered,
             "corrupted": corrupted,
-            "queued": queued,
-            "dropped": dropped,
-            "lost_to_faults": lost,
-            "holds": injected == (delivered + corrupted + queued
-                                  + dropped + lost),
+            "uplink_fault_lost": sum(s.cells_lost for s in self._uplink_sites),
+            "isw_in_flight": self._isw_in_flight,
+            "cross_injected": sum(sw.cross_cells_injected for sw in switches),
+            "switch_queued": sum(sw.queued_cells() for sw in switches),
+            "dropped": sum(sw.cells_dropped for sw in switches),
+            "switch_fault_lost": sum(sw.cells_lost_to_faults
+                                     for sw in switches),
         }
 
-    def recovery_stats(self) -> Optional[dict]:
-        """Recovery block for the cluster report, or None when the
-        control plane is off.  Routed through the same
-        combine/summarize pair the sharded merge uses, so both paths
-        serialize identically."""
-        if self.recovery is None:
-            return None
-        return summarize_recovery(
-            self.recovery.cfg,
-            combine_partials([self.recovery.partial()]))
-
-    def fault_stats(self) -> Optional[dict]:
-        """Fault counters for the cluster report, or None when the
-        fabric runs fault-free."""
-        if self.faults is None:
-            return None
+    def snapshot(self) -> dict:
+        """Everything the cluster report reads off this fabric, as
+        plain picklable data: a shard ships it to
+        :func:`repro.cluster.metrics.merge_partials`, and a plain run's
+        report is the merge of its one snapshot."""
+        backpressure = None
+        if self.backpressure == "credit":
+            backpressure = {"mode": "credit",
+                            "credit_window_cells": self.credit_window_cells,
+                            "regen_timeout_us": self.credit_regen_timeout_us,
+                            "watchdog_us": self.credit_watchdog_us}
+        elif self.backpressure == "efci":
+            backpressure = {"mode": "efci",
+                            "efci_pause_us": self.efci_pause_us}
         return {
-            "plan": self.faults.to_dict(),
-            "lost_to_faults": self.cells_lost_to_faults(),
-            "corrupted_delivered": self.cells_corrupted(),
+            "topology": self.topology,
+            "counters": self.counters(),
+            "hosts": {i: asdict(host.stats())
+                      for i, host in enumerate(self.hosts)
+                      if host is not None},
+            "switches": [{
+                "name": sw.name,
+                "cells_switched": sw.cells_switched,
+                "cells_dropped": sw.cells_dropped,
+                "dropped_no_route": sw.dropped_no_route,
+                "dropped_queue_full": sw.dropped_queue_full,
+                "cross_cells_injected": sw.cross_cells_injected,
+                "cells_lost_to_faults": sw.cells_lost_to_faults,
+                "cells_queued": sw.queued_cells(),
+                "ports": [asdict(p) for p in sw.port_stats()],
+            } for sw in self.switches],
+            "gates": {i: {"name": host.name, **gate.stats()}
+                      for i, (host, gate) in enumerate(
+                          zip(self.hosts, self.gates, strict=False))
+                      if host is not None and gate is not None},
+            "backpressure": backpressure,
+            "fault_plan": (self.faults.to_dict()
+                           if self.faults is not None else None),
+            "fault_sites": {name: site.stats() for name, site
+                            in sorted(self._fault_sites.items())},
             "credit_cells_lost": self.credit_cells_lost,
-            "sites": {name: site.stats()
-                      for name, site in sorted(self._fault_sites.items())},
+            "recovery": (None if self.recovery is None else
+                         (self.recovery.cfg, self.recovery.partial())),
         }
 
 

@@ -1,22 +1,27 @@
 """Cluster-wide metrics: one report for an N-host fabric run.
 
-Aggregates every per-host ``net.stats`` snapshot and every switch's
-per-port occupancy counters into a single :class:`ClusterReport`, and
-checks the **cell-conservation invariant**: every cell handed to the
-fabric is, at the instant of the snapshot, exactly one of delivered to
-a host board, still queued/in flight inside the fabric, or dropped.
-The four terms come from independent counters (links, switch ports,
-delivery wrappers), so the identity actually cross-checks the models
-rather than restating one number three ways.
+:func:`merge_partials`, the one function that builds reports, folds
+fabric snapshots -- one per shard, or a plain run's one -- into a single
+:class:`ClusterReport`: every per-host ``net.stats`` snapshot, every
+switch's per-port occupancy counters, and the **cell-conservation
+law** (:func:`conservation`, its one statement): every cell handed to
+the fabric is, at the instant of the snapshot, exactly one of
+delivered to a host board, still queued/in flight inside the fabric,
+or dropped.  The terms come from independent counters (links, switch
+ports, delivery wrappers), so the identity actually cross-checks the
+models rather than restating one number three ways.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .fabric import Fabric
-from .workloads import WorkloadResult
+from ..recovery import combine_partials, summarize_recovery
+
+if TYPE_CHECKING:
+    from .fabric import Fabric
+    from .workloads import WorkloadResult
 
 
 @dataclass
@@ -130,37 +135,107 @@ class ClusterReport:
         return "\n".join(lines)
 
 
-def collect(fabric: Fabric,
-            workload: Optional[WorkloadResult] = None) -> ClusterReport:
-    """Snapshot a fabric (and optional workload outcome) into a
-    :class:`ClusterReport`."""
+def conservation(counters: list) -> dict:
+    """The cell-conservation law, extended for faults, over the raw
+    counters of one fabric or of every shard of one
+    (:meth:`~repro.cluster.fabric.Fabric.counters`)::
+
+        injected == delivered + corrupted + queued + dropped
+                    + lost_to_faults
+
+    ``queued`` counts cells on a link or an inter-switch hop (or in a
+    shard mailbox) and in switch ports, so it is zero at quiescence.
+    """
+    def total(key: str) -> int:
+        return sum(c[key] for c in counters)
+
+    sent, uplink_lost = total("uplink_cells_sent"), total("uplink_fault_lost")
+    law = {
+        "injected": sent + total("cross_injected"),
+        "delivered": total("delivered"),
+        "corrupted": total("corrupted"),
+        "queued": (sent - total("uplink_arrived") - uplink_lost
+                   + total("isw_in_flight") + total("switch_queued")),
+        "dropped": total("dropped"),
+        "lost_to_faults": uplink_lost + total("switch_fault_lost"),
+    }
+    law["holds"] = law["injected"] == (
+        law["delivered"] + law["corrupted"] + law["queued"]
+        + law["dropped"] + law["lost_to_faults"])
+    return law
+
+
+def merge_partials(snapshots: list, t_end: float,
+                   workload: Optional[WorkloadResult] = None
+                   ) -> ClusterReport:
+    """Fold fabric snapshots (:meth:`~repro.cluster.fabric.Fabric.
+    snapshot`) -- every shard's in shard order, or a plain fabric's
+    one -- into one :class:`ClusterReport`.  All configuration is read
+    from the snapshots, so the merge cannot disagree with the fabric
+    about a default."""
+    first = snapshots[0]
     switches = []
-    for sw in fabric.switches:
-        switches.append({
-            "name": sw.name,
-            "cells_switched": sw.cells_switched,
-            "cells_dropped": sw.cells_dropped,
-            "dropped_no_route": sw.dropped_no_route,
-            "dropped_queue_full": sw.dropped_queue_full,
-            "cross_cells_injected": sw.cross_cells_injected,
-            "cells_lost_to_faults": sw.cells_lost_to_faults,
-            "cells_queued": sw.queued_cells(),
-            "ports": [asdict(p) for p in sw.port_stats()],
-        })
+    for replicas in zip(*(snap["switches"] for snap in snapshots),
+                        strict=True):
+        merged = {"name": replicas[0]["name"]}
+        for key in ("cells_switched", "cells_dropped", "dropped_no_route",
+                    "dropped_queue_full", "cross_cells_injected",
+                    "cells_lost_to_faults", "cells_queued"):
+            merged[key] = sum(r[key] for r in replicas)
+        merged["ports"] = sorted((p for r in replicas for p in r["ports"]),
+                                 key=lambda p: (p["trunk_id"], p["lane"]))
+        switches.append(merged)
+    law = conservation([snap["counters"] for snap in snapshots])
+    hosts, gates, sites = {}, {}, {}
+    for snap in snapshots:
+        hosts.update(snap["hosts"])
+        gates.update(snap["gates"])
+        sites.update(snap["fault_sites"])
+    n_hosts = len(hosts)
+
+    backpressure = faults = recovery = None
+    if first["backpressure"] is not None:
+        backpressure = {**first["backpressure"],
+                        "hosts": [gates[i] for i in range(n_hosts)]}
+    if first["fault_plan"] is not None:
+        faults = {
+            "plan": first["fault_plan"],
+            "lost_to_faults": law["lost_to_faults"],
+            "corrupted_delivered": law["corrupted"],
+            "credit_cells_lost": sum(snap["credit_cells_lost"]
+                                     for snap in snapshots),
+            "sites": dict(sorted(sites.items())),
+        }
+    if first["recovery"] is not None:
+        recovery = summarize_recovery(
+            first["recovery"][0],
+            combine_partials([snap["recovery"][1] for snap in snapshots]))
+
     return ClusterReport(
-        topology=fabric.topology,
-        n_hosts=len(fabric.hosts),
-        n_switches=len(fabric.switches),
-        sim_time_us=fabric.sim.now,
-        conservation=fabric.conservation(),
-        drops=fabric.drop_breakdown(),
-        hosts=[asdict(host.stats()) for host in fabric.hosts],
+        topology=first["topology"],
+        n_hosts=n_hosts,
+        n_switches=len(switches),
+        sim_time_us=t_end,
+        conservation=law,
+        drops={
+            "no_route": sum(sw["dropped_no_route"] for sw in switches),
+            "queue_full": sum(sw["dropped_queue_full"]
+                              for sw in switches),
+        },
+        hosts=[hosts[i] for i in range(n_hosts)],
         switches=switches,
-        workload=workload.summary() if workload else None,
-        backpressure=fabric.backpressure_stats(),
-        faults=fabric.fault_stats(),
-        recovery=fabric.recovery_stats(),
+        workload=workload.summary() if workload is not None else None,
+        backpressure=backpressure,
+        faults=faults,
+        recovery=recovery,
     )
 
 
-__all__ = ["ClusterReport", "collect"]
+def collect(fabric: Fabric,
+            workload: Optional[WorkloadResult] = None) -> ClusterReport:
+    """Snapshot a fabric (and optional workload outcome) into a
+    :class:`ClusterReport`: the merge of its one snapshot."""
+    return merge_partials([fabric.snapshot()], fabric.sim.now, workload)
+
+
+__all__ = ["ClusterReport", "collect", "conservation", "merge_partials"]

@@ -27,9 +27,11 @@ JSON byte for byte.
 
 Conservation counters are only globally meaningful at a window
 horizon (a barrier): mid-window, a cell can sit in a mailbox, counted
-as emitted by one shard but not yet absorbed by another.  The merge
-in :func:`merge_partials` therefore runs at global quiescence, where
-every mailbox has drained -- the "quiescent at horizon" guarantee.
+as emitted by one shard but not yet absorbed by another.  Each shard
+therefore snapshots its fabric at global quiescence, where every
+mailbox has drained -- the "quiescent at horizon" guarantee -- and
+:func:`repro.cluster.metrics.merge_partials`, the same merge a plain
+run's report comes from, folds the snapshots into one report.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from ..sim.parallel import BACKENDS, ParallelRunResult, run_shards
 from ..topology import partition_hosts, partition_switches
 from .boundary import BoundaryCodec
 from .fabric import Fabric
-from .metrics import ClusterReport
+from .metrics import ClusterReport, merge_partials
 from .workloads import (
     ClientResult, WorkloadResult, WorkloadSpec,
     compute_open_loop_latencies, setup_workload,
@@ -294,53 +296,13 @@ class _ShardProgram:
         """The shard's picklable contribution to the merged report.
         The engine has already advanced the clock to ``t_end``, so
         host snapshots read the fabric-wide end time."""
-        fabric = self.fabric
         for finish in self.finishers:
             finish()
-        switches = []
-        for sw in fabric.switches:
-            switches.append({
-                "name": sw.name,
-                "cells_switched": sw.cells_switched,
-                "cells_dropped": sw.cells_dropped,
-                "dropped_no_route": sw.dropped_no_route,
-                "dropped_queue_full": sw.dropped_queue_full,
-                "cross_cells_injected": sw.cross_cells_injected,
-                "cells_lost_to_faults": sw.cells_lost_to_faults,
-                "cells_queued": sw.queued_cells(),
-                "ports": [asdict(p) for p in sw.port_stats()],
-            })
-        gates = {}
-        for i, (host, gate) in enumerate(zip(fabric.hosts,
-                                             fabric.gates,
-                                             strict=False)):
-            if host is not None and gate is not None:
-                gates[i] = {"name": host.name, **gate.stats()}
         return {
-            "shard": fabric.shard_index,
-            "hb_trace": fabric.hb_trace,
-            "events_processed": fabric.sim.events_processed,
-            "events_absorbed": fabric.sim.events_absorbed,
-            "hosts": {i: asdict(host.stats())
-                      for i, host in enumerate(fabric.hosts)
-                      if host is not None},
-            "uplink_cells_sent": sum(link.cells_sent
-                                     for link in fabric.uplinks),
-            "uplink_arrived": sum(fabric._uplink_arrived),
-            "delivered": sum(fabric._delivered),
-            "corrupted": sum(fabric._corrupted),
-            "uplink_fault_lost": sum(site.cells_lost
-                                     for site in fabric._uplink_sites),
-            "credit_cells_lost": fabric.credit_cells_lost,
-            "fault_sites": {name: site.stats()
-                            for name, site
-                            in sorted(fabric._fault_sites.items())},
-            "isw_in_flight": fabric._isw_in_flight,
-            "switches": switches,
-            "gates": gates,
+            "shard": self.fabric.shard_index,
+            "hb_trace": self.fabric.hb_trace,
+            "fabric": self.fabric.snapshot(),
             "clients": [asdict(c) for c in self.clients],
-            "recovery": (fabric.recovery.partial()
-                         if fabric.recovery is not None else None),
         }
 
     def probe(self) -> dict:
@@ -349,24 +311,7 @@ class _ShardProgram:
         Cheap, picklable, read-only -- safe to take at any barrier
         (unlike :meth:`collect`, which finalizes clients).
         """
-        fabric = self.fabric
-        return {
-            "uplink_cells_sent": sum(link.cells_sent
-                                     for link in fabric.uplinks),
-            "uplink_arrived": sum(fabric._uplink_arrived),
-            "delivered": sum(fabric._delivered),
-            "corrupted": sum(fabric._corrupted),
-            "uplink_fault_lost": sum(site.cells_lost
-                                     for site in fabric._uplink_sites),
-            "isw_in_flight": fabric._isw_in_flight,
-            "cross_injected": sum(sw.cross_cells_injected
-                                  for sw in fabric.switches),
-            "switch_queued": sum(sw.queued_cells()
-                                 for sw in fabric.switches),
-            "dropped": sum(sw.cells_dropped for sw in fabric.switches),
-            "switch_fault_lost": sum(sw.cells_lost_to_faults
-                                     for sw in fabric.switches),
-        }
+        return self.fabric.counters()
 
 
 def _build_shard(index: int, n_shards: int, fabric_kwargs: dict,
@@ -403,9 +348,10 @@ def _merge_clients(spec: WorkloadSpec, partials: list) -> list:
         dst_half = None
         for partial in partials:
             fields = partial["clients"][index]
-            if fields["src"] in partial["hosts"]:
+            hosts = partial["fabric"]["hosts"]
+            if fields["src"] in hosts:
                 src_half = fields
-            if fields["dst"] in partial["hosts"]:
+            if fields["dst"] in hosts:
                 dst_half = fields
         client = ClientResult(**src_half)
         if spec.kind == "open" and dst_half is not None:
@@ -415,129 +361,6 @@ def _merge_clients(spec: WorkloadSpec, partials: list) -> list:
             compute_open_loop_latencies(client)
         merged.append(client)
     return merged
-
-
-def merge_partials(fabric_kwargs: dict, spec: WorkloadSpec,
-                   partials: list, t_end: float) -> ClusterReport:
-    """Fold per-shard partials into one :class:`ClusterReport` equal,
-    field for field, to what a single-process run would report."""
-    partials = sorted(partials, key=lambda p: p["shard"])
-
-    n_switches = len(partials[0]["switches"])
-    switches = []
-    for k in range(n_switches):
-        replicas = [p["switches"][k] for p in partials]
-        ports = [port for replica in replicas
-                 for port in replica["ports"]]
-        ports.sort(key=lambda p: (p["trunk_id"], p["lane"]))
-        switches.append({
-            "name": replicas[0]["name"],
-            "cells_switched": sum(r["cells_switched"]
-                                  for r in replicas),
-            "cells_dropped": sum(r["cells_dropped"] for r in replicas),
-            "dropped_no_route": sum(r["dropped_no_route"]
-                                    for r in replicas),
-            "dropped_queue_full": sum(r["dropped_queue_full"]
-                                      for r in replicas),
-            "cross_cells_injected": sum(r["cross_cells_injected"]
-                                        for r in replicas),
-            "cells_lost_to_faults": sum(r["cells_lost_to_faults"]
-                                        for r in replicas),
-            "cells_queued": sum(r["cells_queued"] for r in replicas),
-            "ports": ports,
-        })
-
-    injected = (sum(p["uplink_cells_sent"] for p in partials)
-                + sum(sw["cross_cells_injected"] for sw in switches))
-    delivered = sum(p["delivered"] for p in partials)
-    corrupted = sum(p["corrupted"] for p in partials)
-    uplink_fault_lost = sum(p["uplink_fault_lost"] for p in partials)
-    queued = (sum(p["uplink_cells_sent"] for p in partials)
-              - sum(p["uplink_arrived"] for p in partials)
-              - uplink_fault_lost
-              + sum(p["isw_in_flight"] for p in partials)
-              + sum(sw["cells_queued"] for sw in switches))
-    dropped = sum(sw["cells_dropped"] for sw in switches)
-    lost = uplink_fault_lost + sum(sw["cells_lost_to_faults"]
-                                   for sw in switches)
-    drops = {
-        "no_route": sum(sw["dropped_no_route"] for sw in switches),
-        "queue_full": sum(sw["dropped_queue_full"] for sw in switches),
-    }
-
-    faults = None
-    plan = fabric_kwargs.get("faults")
-    if plan is not None:
-        sites: dict[str, dict] = {}
-        for partial in partials:
-            sites.update(partial["fault_sites"])
-        faults = {
-            "plan": plan.to_dict(),
-            "lost_to_faults": lost,
-            "corrupted_delivered": corrupted,
-            "credit_cells_lost": sum(p["credit_cells_lost"]
-                                     for p in partials),
-            "sites": dict(sorted(sites.items())),
-        }
-
-    host_snaps: dict[int, dict] = {}
-    for partial in partials:
-        host_snaps.update(partial["hosts"])
-    n_hosts = len(host_snaps)
-
-    backpressure = None
-    mode = fabric_kwargs.get("backpressure", "none")
-    if mode != "none":
-        backpressure = {"mode": mode}
-        if mode == "credit":
-            backpressure["credit_window_cells"] = fabric_kwargs.get(
-                "credit_window_cells", 64)
-            backpressure["regen_timeout_us"] = fabric_kwargs.get(
-                "credit_regen_timeout_us")
-            backpressure["watchdog_us"] = fabric_kwargs.get(
-                "credit_watchdog_us")
-        else:
-            backpressure["efci_pause_us"] = fabric_kwargs.get(
-                "efci_pause_us", 60.0)
-        gate_snaps: dict[int, dict] = {}
-        for partial in partials:
-            gate_snaps.update(partial["gates"])
-        backpressure["hosts"] = [gate_snaps[i] for i in range(n_hosts)]
-
-    recovery = None
-    rcfg = fabric_kwargs.get("recovery")
-    if rcfg is not None and rcfg.mode != "off":
-        from ..recovery import combine_partials, summarize_recovery
-        recovery = summarize_recovery(
-            rcfg, combine_partials([p["recovery"] for p in partials]))
-
-    clients = _merge_clients(spec, partials)
-    workload = WorkloadResult(spec=spec, clients=clients,
-                              elapsed_us=t_end)
-
-    return ClusterReport(
-        topology=fabric_kwargs.get("topology", "switched"),
-        n_hosts=n_hosts,
-        n_switches=n_switches,
-        sim_time_us=t_end,
-        conservation={
-            "injected": injected,
-            "delivered": delivered,
-            "corrupted": corrupted,
-            "queued": queued,
-            "dropped": dropped,
-            "lost_to_faults": lost,
-            "holds": injected == (delivered + corrupted + queued
-                                  + dropped + lost),
-        },
-        drops=drops,
-        hosts=[host_snaps[i] for i in range(n_hosts)],
-        switches=switches,
-        workload=workload.summary(),
-        backpressure=backpressure,
-        faults=faults,
-        recovery=recovery,
-    )
 
 
 def run_cluster_sharded(
@@ -572,8 +395,12 @@ def run_cluster_sharded(
         window_probe = check_window_conservation
     run = run_shards(factory, n_shards, window_us, backend=backend,
                      window_probe=window_probe)
-    report = merge_partials(fabric_kwargs, spec, run.partials,
-                            run.t_end)
+    partials = sorted(run.partials, key=lambda p: p["shard"])
+    workload = WorkloadResult(spec=spec,
+                              clients=_merge_clients(spec, partials),
+                              elapsed_us=run.t_end)
+    report = merge_partials([p["fabric"] for p in partials], run.t_end,
+                            workload)
     if trace_path is not None:
         from ..analysis.causality import build_trace_doc
         doc = build_trace_doc(
@@ -584,4 +411,4 @@ def run_cluster_sharded(
     return report, run
 
 
-__all__ = ["ShardFabric", "run_cluster_sharded", "merge_partials"]
+__all__ = ["ShardFabric", "run_cluster_sharded"]

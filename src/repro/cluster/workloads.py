@@ -30,6 +30,7 @@ from typing import Any, Callable, Generator, Optional
 from ..sim import Delay, SimulationError, spawn
 from ..xkernel.protocols.rpc import RpcClient, RpcProtocol, RpcServer
 from .fabric import Fabric
+from .metrics import collect
 
 PATTERNS = ("incast", "all2all", "pairs")
 
@@ -334,7 +335,7 @@ def sweep_offered_load(fabric_factory: Callable[[], Fabric],
             "goodput_mbps": summary["goodput_mbps"],
             "messages_sent": summary["messages_sent"],
             "messages_received": summary["messages_received"],
-            "drops": fabric.drop_breakdown(),
+            "drops": collect(fabric).drops,
         })
     return points
 

@@ -10,7 +10,9 @@ shared FIFO.
 
 import pytest
 
-from repro.cluster import Fabric, WorkloadSpec, run_workload, sweep_offered_load
+from repro.cluster import (
+    Fabric, WorkloadSpec, collect, run_workload, sweep_offered_load,
+)
 from repro.cluster.backpressure import CreditGate
 from repro.cluster.workloads import ClientResult, _setup_rpc, client_rng
 from repro.hw import DS5000_200
@@ -107,21 +109,20 @@ def test_credit_incast_zero_queue_full_drops():
     spec = WorkloadSpec(pattern="incast", kind="open", seed=7,
                         message_bytes=8192, messages_per_client=12)
     fab = Fabric(DS5000_200, 8, backpressure="credit")
-    run_workload(fab, spec)
-    drops = fab.drop_breakdown()
-    assert drops["queue_full"] == 0
-    assert drops["no_route"] == 0
-    assert fab.conservation()["holds"]
-    stats = fab.backpressure_stats()
+    report = collect(fab, run_workload(fab, spec))
+    assert report.drops["queue_full"] == 0
+    assert report.drops["no_route"] == 0
+    assert report.conservation["holds"]
+    stats = report.backpressure
     assert stats["mode"] == "credit"
     assert sum(h["stalls"] for h in stats["hosts"]) > 0   # it engaged
     # Quiescent fabric: every credit came home.
     assert all(h["credits_outstanding"] == 0 for h in stats["hosts"])
 
     fab2 = Fabric(DS5000_200, 8, backpressure="none")
-    run_workload(fab2, spec)
-    assert fab2.drop_breakdown()["queue_full"] > 0
-    assert fab2.backpressure_stats() is None
+    report2 = collect(fab2, run_workload(fab2, spec))
+    assert report2.drops["queue_full"] > 0
+    assert report2.backpressure is None
 
 
 def test_credit_goodput_monotone_up_to_saturation():
@@ -144,10 +145,10 @@ def test_efci_marks_relay_back_and_reduce_drops():
     drops = {}
     for mode in ("none", "efci"):
         fab = Fabric(DS5000_200, 8, backpressure=mode)
-        run_workload(fab, spec)
-        drops[mode] = fab.drop_breakdown()["queue_full"]
+        report = collect(fab, run_workload(fab, spec))
+        drops[mode] = report.drops["queue_full"]
         if mode == "efci":
-            stats = fab.backpressure_stats()
+            stats = report.backpressure
             pauses = sum(sum(f["pauses"] for f in h["flows"].values())
                          for h in stats["hosts"])
             assert pauses > 0

@@ -139,8 +139,13 @@ def test_figure_json_output(capsys):
     (["--window", "0", "--backpressure", "credit"], "--window"),
     (["--hosts", "4", "--messages", "2", "--size", "0"], "--size"),
     (["--rate", "-5"], "--rate"),
+    (["--sweep", "1,abc"], "--sweep rate 'abc'"),
+    (["--sweep=-5"], "--sweep rate '-5'"),
+    (["--sweep", "10", "--shards", "2"], "--shards"),
+    (["--sweep", "10", "--trace-out", "no-such-dir/hb.json"], "--trace-out"),
 ], ids=("shards-zero", "shards-negative", "credit-window-zero",
-        "size-zero", "rate-negative"))
+        "size-zero", "rate-negative", "sweep-not-a-number",
+        "sweep-negative", "sweep-sharded", "sweep-traced"))
 def test_cluster_rejects_bad_input_naming_the_flag(argv, flag):
     """Inputs the model would silently misread (no sharding, no
     pacing, a run that sends nothing) or trip over mid-run fail before

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.atm import SkewModel
-from repro.cluster import FIRST_FLOW_VCI, Fabric, VciAllocator
+from repro.cluster import FIRST_FLOW_VCI, Fabric, VciAllocator, collect
 from repro.hw import DS5000_200
 from repro.net import BackToBack
 from repro.sim import SimulationError, spawn
@@ -44,7 +44,7 @@ def test_flow_crosses_two_switches():
     assert app_d.receptions[0].data == payload
     assert fab.switches[0].cells_switched > 0
     assert fab.switches[1].cells_switched > 0
-    conservation = fab.conservation()
+    conservation = collect(fab).conservation
     assert conservation["holds"]
     assert conservation["delivered"] == conservation["injected"]
 
@@ -100,11 +100,24 @@ def test_bad_flow_endpoints_rejected():
         fab.open_flow(0, 5)
 
 
-def test_conservation_mid_run_counts_queued_cells():
-    """The invariant must hold while cells are still in flight, with
-    the queued term measured from link/switch counters."""
+def _switched_incast():
     fab = Fabric(DS5000_200, 4)
-    apps = [fab.open_raw_flow(i, 0)[0] for i in range(1, 4)]
+    return fab, [fab.open_raw_flow(i, 0)[0] for i in range(1, 4)]
+
+
+def _back_to_back():
+    net = BackToBack(DS5000_200)
+    app_a, _app_b = net.open_raw_pair(echo_b=False)
+    return net, [app_a]
+
+
+@pytest.mark.parametrize("build", [_switched_incast, _back_to_back],
+                         ids=("switched", "direct"))
+def test_conservation_mid_run_counts_queued_cells(build):
+    """The invariant must hold while cells are still in flight, with
+    the queued term measured from link/switch counters -- on the
+    direct wiring too, where a cell leaving the link has arrived."""
+    fab, apps = build()
 
     def sender(app):
         def go():
@@ -115,12 +128,13 @@ def test_conservation_mid_run_counts_queued_cells():
     for k, app in enumerate(apps):
         spawn(fab.sim, sender(app)(), f"s{k}")
     fab.sim.run_until(400.0)
-    conservation = fab.conservation()
+    conservation = collect(fab).conservation
     assert conservation["injected"] > 0
+    assert conservation["queued"] > 0
     assert conservation["holds"]
     # Run to quiescence: everything must land somewhere final.
     fab.sim.run()
-    conservation = fab.conservation()
+    conservation = collect(fab).conservation
     assert conservation["holds"]
     assert conservation["queued"] == 0
 
@@ -138,7 +152,7 @@ def test_backtoback_is_direct_fabric_special_case():
     spawn(net.sim, go(), "g")
     net.sim.run()
     assert len(app_b.receptions) == 1
-    conservation = net.conservation()
+    conservation = collect(net).conservation
     assert conservation["holds"]
     assert conservation["delivered"] == conservation["injected"]
     assert conservation["dropped"] == 0

@@ -46,8 +46,9 @@ def test_open_loop_pairs_delivers_everything():
         assert client.messages_received == 5
         assert client.bytes_received == 5 * 2048
         assert all(lat > 0 for lat in client.latencies_us)
-    assert fab.cells_dropped() == 0
-    assert fab.conservation()["holds"]
+    conservation = collect(fab).conservation
+    assert conservation["dropped"] == 0
+    assert conservation["holds"]
 
 
 def test_open_loop_udp_transport():
@@ -66,8 +67,8 @@ def test_unpaced_incast_overflows_the_server_trunk():
     spec = WorkloadSpec(pattern="incast", kind="open", seed=1,
                         message_bytes=4096, messages_per_client=8)
     result = run_workload(fab, spec)
-    assert fab.cells_dropped() > 0
-    conservation = fab.conservation()
+    conservation = collect(fab).conservation
+    assert conservation["dropped"] > 0
     assert conservation["holds"]
     assert conservation["queued"] == 0  # ran to quiescence
     received = sum(c.messages_received for c in result.clients)

@@ -261,8 +261,9 @@ def test_rdp_delivers_correct_bytes_over_one_percent_loss():
     proto, receiver = _rdp_transfer(fabric, payloads)
     assert [r.data for r in receiver.receptions] == payloads
     assert proto.retransmissions > 0
-    assert fabric.cells_lost_to_faults() > 0
-    assert fabric.conservation()["holds"]
+    conservation = collect(fabric).conservation
+    assert conservation["lost_to_faults"] > 0
+    assert conservation["holds"]
 
 
 def test_rdp_over_loss_completes_under_credit_regeneration():
@@ -277,9 +278,10 @@ def test_rdp_over_loss_completes_under_credit_regeneration():
     payloads = [bytes([40 + k]) * (900 + 61 * k) for k in range(8)]
     proto, receiver = _rdp_transfer(fabric, payloads)
     assert [r.data for r in receiver.receptions] == payloads
-    assert fabric.drop_breakdown()["queue_full"] == 0
+    report = collect(fabric)
+    assert report.drops["queue_full"] == 0
     assert fabric.gates[0].stats()["regenerations"] > 0
-    assert fabric.conservation()["holds"]
+    assert report.conservation["holds"]
 
 
 def test_lane_kill_degrades_striping_group_and_transfer_survives():
@@ -293,9 +295,9 @@ def test_lane_kill_degrades_striping_group_and_transfer_survives():
     proto, receiver = _rdp_transfer(fabric, payloads)
     assert [r.data for r in receiver.receptions] == payloads
     assert fabric.uplinks[0].degraded
-    site = fabric.fault_stats()["sites"]["up.h0.l1"]
-    assert site["dead"]
-    assert fabric.conservation()["holds"]
+    report = collect(fabric)
+    assert report.faults["sites"]["up.h0.l1"]["dead"]
+    assert report.conservation["holds"]
 
 
 # -- credit deadlock watchdog -------------------------------------------------

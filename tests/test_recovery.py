@@ -94,8 +94,7 @@ def test_masked_ecmp_raises_when_no_path_survives():
 
 def test_detect_mode_records_failure_without_rerouting():
     fabric = _fabric(recovery=RecoveryConfig(mode="detect"))
-    _run(fabric)
-    stats = fabric.recovery_stats()
+    stats = _run(fabric).recovery
     assert stats["mode"] == "detect"
     assert stats["counters"]["elements_failed"] == 1
     assert stats["counters"]["flows_rerouted"] == 0
@@ -117,15 +116,13 @@ def test_detection_is_seed_deterministic():
     reports = []
     for _ in range(2):
         fabric = _fabric(recovery=RecoveryConfig(mode="detect"))
-        _run(fabric)
-        reports.append(fabric.recovery_stats())
+        reports.append(_run(fabric).recovery)
     assert reports[0] == reports[1]
 
 
 def test_no_recovery_block_without_recovery():
     fabric = _fabric(recovery=None)
     report = _run(fabric)
-    assert fabric.recovery_stats() is None
     assert report.recovery is None
 
 
@@ -150,8 +147,7 @@ def test_reroute_restores_delivery_after_port_kill():
 
 def test_reroute_reports_convergence_times():
     fabric = _fabric(recovery=RecoveryConfig(mode="reroute"))
-    _run(fabric)
-    stats = fabric.recovery_stats()
+    stats = _run(fabric).recovery
     assert stats["counters"]["flows_rerouted"] >= 1
     assert stats["counters"]["flows_unrecovered"] == 0
     times = stats["recovery_time_us"]
@@ -179,7 +175,7 @@ def test_dead_downlink_degrades_gracefully():
                      faults="port=leaf1:0:1@1000")   # host 2's downlink
     report = _run(fabric)
     assert report.conservation["holds"]
-    stats = fabric.recovery_stats()
+    stats = report.recovery
     assert stats["counters"]["flows_unrecovered"] >= 1
     for flow in stats["flows"]:
         if flow["status"] == "no_path":

@@ -129,8 +129,9 @@ def test_merged_conservation_holds_and_fabric_is_quiescent():
     assert run.t_end == report.sim_time_us
     # Partial snapshots must agree that nothing is in flight.
     for partial in run.partials:
-        assert partial["isw_in_flight"] == 0
-        assert partial["uplink_cells_sent"] >= 0
+        counters = partial["fabric"]["counters"]
+        assert counters["isw_in_flight"] == 0
+        assert counters["uplink_cells_sent"] >= 0
 
 
 def test_events_processed_matches_plain_run():

@@ -5,7 +5,7 @@ import pytest
 
 from repro.atm.cell import Cell
 from repro.atm.switch import CellSwitch
-from repro.cluster import Fabric
+from repro.cluster import Fabric, collect
 from repro.hw import DS5000_200
 from repro.sim import SimulationError, Simulator, spawn
 
@@ -123,11 +123,12 @@ def test_fabric_conservation_with_unrouted_vci():
 
     spawn(fab.sim, go(), "lost")
     fab.sim.run()
-    drops = fab.drop_breakdown()
+    report = collect(fab)
+    drops = report.drops
     assert drops["no_route"] > 0
     assert drops["queue_full"] == 0
     assert fab.hosts[1].driver.pdus_received == 0
-    conservation = fab.conservation()
+    conservation = report.conservation
     assert conservation["holds"]
     assert conservation["dropped"] == drops["no_route"]
 

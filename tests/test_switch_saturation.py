@@ -10,7 +10,7 @@ conservation identity survives overload.
 
 from repro.atm import CellSwitch
 from repro.atm.cell import Cell
-from repro.cluster import Fabric, WorkloadSpec, run_workload
+from repro.cluster import Fabric, WorkloadSpec, collect, run_workload
 from repro.hw import DS5000_200
 from repro.sim import Delay, Simulator, spawn
 
@@ -102,6 +102,6 @@ def test_incast_saturation_fills_server_ports():
     deepest = max(p.max_queue_seen for p in sw.port_stats()
                   if p.trunk_id == server_trunk)
     assert deepest == sw.port_queue_cells
-    conservation = fab.conservation()
+    conservation = collect(fab).conservation
     assert conservation["holds"]
     assert conservation["dropped"] == sw.cells_dropped
