@@ -97,16 +97,32 @@ def _cmd_cluster(args) -> None:
     from .sim import SimulationError
 
     # Reject values the model would silently misread (a shard count
-    # below one runs unsharded, a negative rate runs unpaced) or only
-    # trip over mid-run, before anything is built.
-    for flag, value in (("--shards", args.shards),
-                        ("--window", args.window),
-                        ("--size", args.size)):
-        if value < 1:
-            raise SystemExit(f"cluster: {flag} must be >= 1, got {value}")
-    if args.rate < 0.0:
-        raise SystemExit(
-            f"cluster: --rate must be >= 0 (0 = unpaced), got {args.rate}")
+    # below one runs unsharded, a NaN rate runs unpaced, no messages
+    # run an empty workload) or only trip over mid-run, before
+    # anything is built.
+    for flag, value, least in (("--hosts", args.hosts, 2),
+                               ("--switches", args.switches, 1),
+                               ("--pods", args.pods, 1),
+                               ("--size", args.size, 1),
+                               ("--messages", args.messages, 1),
+                               ("--window", args.window, 1),
+                               ("--shards", args.shards, 1)):
+        if value < least:
+            raise SystemExit(
+                f"cluster: {flag} must be >= {least}, got {value}")
+    for flag, value, zero_ok in (
+            ("--oversub", args.oversub, False),
+            ("--rate", args.rate, True),                # 0 = unpaced
+            ("--hb-interval", args.hb_interval, False),
+            ("--detect-timeout", args.detect_timeout, True),
+            ("--regen-timeout", args.regen_timeout, False),
+            ("--watchdog", args.watchdog, False)):
+        if value is None:                               # not given
+            continue
+        if not (0.0 < value < math.inf or (zero_ok and value == 0.0)):
+            raise SystemExit(
+                f"cluster: {flag} must be a finite number "
+                f"{'>= 0' if zero_ok else '> 0'}, got {value}")
     rates = None
     if args.sweep is not None:
         for flag, given in (("--shards", args.shards > 1),

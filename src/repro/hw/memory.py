@@ -1,14 +1,18 @@
 """Physical main memory and the board's dual-port memory.
 
-Main memory is byte-accurate (a bytearray) when data fidelity is on.
-The page-frame allocator deliberately hands out frames in a scrambled
-order: contiguous virtual pages therefore map to non-contiguous
-physical frames, which is exactly the buffer-fragmentation problem of
-section 2.2 of the paper.
+Main memory is byte-accurate when data fidelity is on.  It lives in a
+private anonymous mapping, so it reads as zeros and a host pays
+resident memory only for the pages a run writes.  The page-frame
+allocator deliberately hands out frames in a scrambled order:
+contiguous virtual pages therefore map to non-contiguous physical
+frames, which is exactly the buffer-fragmentation problem of section
+2.2 of the paper.
 """
 
 from __future__ import annotations
 
+import functools
+import mmap
 import random
 from typing import Optional
 
@@ -17,6 +21,28 @@ from ..sim import Fidelity, SimulationError
 
 class OutOfMemory(SimulationError):
     """No free page frames left."""
+
+
+@functools.lru_cache(maxsize=8)        # a handful of geometries exist
+def _scrambled_frames(first_frame: int, frame_count: int,
+                      seed: int) -> tuple[int, ...]:
+    """The free-frame order of one memory geometry, shuffled once."""
+    frames = list(range(first_frame, frame_count))
+    random.Random(seed).shuffle(frames)
+    return tuple(frames)
+
+
+def _zeroed(size_bytes: int) -> mmap.mmap:
+    """``size_bytes`` of zeros that take memory only once written.
+
+    Untouched pages read from the kernel's shared zero page, and the
+    mapping is copy-on-write across a fork, as a bytearray is.
+    """
+    data = mmap.mmap(-1, size_bytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # One write must not fault in a whole 2 MB huge page.
+        data.madvise(mmap.MADV_NOHUGEPAGE)
+    return data
 
 
 class PhysicalMemory:
@@ -42,16 +68,14 @@ class PhysicalMemory:
         self.size_bytes = size_bytes
         self.page_size = page_size
         self.fidelity = fidelity or Fidelity.full()
-        self._data = bytearray(size_bytes) if self.fidelity.copy_data else None
+        self._data = _zeroed(size_bytes) if self.fidelity.copy_data else None
 
         self.reserved_bytes = reserved_bytes
         self._reserved_next = 0
 
-        first_frame = reserved_bytes // page_size
-        frame_count = size_bytes // page_size
-        frames = list(range(first_frame, frame_count))
-        random.Random(scramble_seed).shuffle(frames)
-        self._free_frames = frames
+        self._free_frames = list(_scrambled_frames(
+            reserved_bytes // page_size, size_bytes // page_size,
+            scramble_seed))
         self._allocated: set[int] = set()
 
     # -- page-frame allocation -------------------------------------------
@@ -121,7 +145,7 @@ class PhysicalMemory:
         self._check_range(addr, nbytes)
         if self._data is None:
             return b"\x00" * nbytes
-        return bytes(self._data[addr:addr + nbytes])
+        return self._data[addr:addr + nbytes]
 
     def write(self, addr: int, data: bytes) -> None:
         self._check_range(addr, len(data))
@@ -141,8 +165,8 @@ class DualPortMemory:
     Both the host and the on-board processors see it as an array of
     32-bit words.  Only individual word accesses are atomic (paper,
     section 2.1.1); the lock-free queues are built on that guarantee
-    alone.  Byte contents are always kept (the region is tiny), so
-    descriptor encoding/decoding is real.
+    alone.  Contents are always kept, so descriptor encoding/decoding
+    is real, but only written words are stored: the rest read 0.
     """
 
     WORD = 4
@@ -151,7 +175,7 @@ class DualPortMemory:
         if size_bytes % self.WORD != 0:
             raise SimulationError("dual-port size must be word aligned")
         self.size_bytes = size_bytes
-        self._words = [0] * (size_bytes // self.WORD)
+        self._words: dict[int, int] = {}
         self.host_reads = 0
         self.host_writes = 0
         self.board_reads = 0
@@ -170,7 +194,7 @@ class DualPortMemory:
             self.host_reads += 1
         else:
             self.board_reads += 1
-        return self._words[self._index(addr)]
+        return self._words.get(self._index(addr), 0)
 
     def write_word(self, addr: int, value: int, by_host: bool) -> None:
         """Atomic 32-bit store."""

@@ -143,13 +143,35 @@ def test_figure_json_output(capsys):
     (["--sweep=-5"], "--sweep rate '-5'"),
     (["--sweep", "10", "--shards", "2"], "--shards"),
     (["--sweep", "10", "--trace-out", "no-such-dir/hb.json"], "--trace-out"),
+    (["--rate", "nan"], "--rate"),
+    (["--rate", "inf"], "--rate"),
+    (["--messages", "0"], "--messages"),
+    (["--messages", "-1"], "--messages"),
+    (["--regen-timeout", "-5"], "--regen-timeout"),
+    (["--watchdog", "-1"], "--watchdog"),
+    (["--hb-interval", "nan"], "--hb-interval"),
+    (["--recovery", "detect", "--hb-interval", "0"], "--hb-interval"),
+    (["--recovery", "detect", "--detect-timeout", "-3"], "--detect-timeout"),
+    (["--detect-timeout", "inf"], "--detect-timeout"),
+    (["--hosts", "0"], "--hosts"),
+    (["--hosts", "1"], "--hosts"),
+    (["--topology", "switched", "--switches", "0"], "--switches"),
+    (["--topology", "clos", "--pods", "0"], "--pods"),
+    (["--topology", "clos", "--oversub", "nan"], "--oversub"),
+    (["--topology", "clos", "--oversub", "0"], "--oversub"),
 ], ids=("shards-zero", "shards-negative", "credit-window-zero",
         "size-zero", "rate-negative", "sweep-not-a-number",
-        "sweep-negative", "sweep-sharded", "sweep-traced"))
+        "sweep-negative", "sweep-sharded", "sweep-traced",
+        "rate-nan", "rate-inf", "messages-zero", "messages-negative",
+        "regen-timeout-negative", "watchdog-negative", "hb-interval-nan",
+        "hb-interval-zero", "detect-timeout-negative",
+        "detect-timeout-inf", "hosts-zero", "hosts-one",
+        "switches-zero", "pods-zero", "oversub-nan", "oversub-zero"))
 def test_cluster_rejects_bad_input_naming_the_flag(argv, flag):
     """Inputs the model would silently misread (no sharding, no
-    pacing, a run that sends nothing) or trip over mid-run fail before
-    anything is built, with a message naming the flag."""
+    pacing, a run that sends nothing), trip over mid-run or reject
+    without naming the flag fail before anything is built, with a
+    message naming the flag."""
     with pytest.raises(SystemExit) as exc:
         main(["cluster", *argv])
     assert str(exc.value).startswith(f"cluster: {flag} ")
