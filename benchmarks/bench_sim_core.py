@@ -1,6 +1,6 @@
 """Micro-benchmarks for the event engine's hot paths.
 
-Four scenarios that dominate real model runs::
+Five scenarios that dominate real model runs::
 
     python benchmarks/bench_sim_core.py
 
@@ -15,6 +15,9 @@ Four scenarios that dominate real model runs::
   bus that about two requests in three find free (as on the paper's
   single-host runs), and spawn one short-lived child per iteration,
   as the OSIRIS receive processor does per cell DMA.
+* store -- a bounded producer/consumer channel that the producers
+  outrun, so most puts wait as blocked putters that the consumer's gets
+  let in: the board's receive FIFO under a fictitious-PDU source.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.sim import Delay, Resource, Simulator, spawn  # noqa: E402
+from repro.sim import Delay, Resource, Simulator, Store, spawn  # noqa: E402
 
 
 def bench_throughput(n: int = 200_000) -> tuple[float, int]:
@@ -96,11 +99,38 @@ def bench_processes(n: int = 200_000) -> tuple[float, int]:
     return time.perf_counter() - start, sim.events_processed
 
 
+def bench_store(n: int = 200_000) -> tuple[float, int]:
+    sim = Simulator()
+    fifo = Store(sim, "fifo", capacity=8)
+
+    def producer(count):
+        for i in range(count):
+            yield Delay(0.5)
+            yield fifo.put(i)           # blocks while the FIFO is full
+
+    def consumer():
+        get = fifo.get()                # one command, yielded again
+        while True:
+            yield get
+            yield Delay(0.7)
+
+    # One event per put and one per get: two producers outrun the
+    # consumer, so after the first few cells every put blocks.
+    producers = 2
+    for i in range(producers):
+        spawn(sim, producer(n // 2 // producers), f"producer{i}")
+    spawn(sim, consumer(), "consumer")
+    start = time.perf_counter()
+    sim.run()
+    return time.perf_counter() - start, sim.events_processed
+
+
 def main() -> int:
     for name, fn in (("throughput", bench_throughput),
                      ("cancel-heavy", bench_cancel_heavy),
                      ("pending-poll", bench_pending_poll),
-                     ("processes", bench_processes)):
+                     ("processes", bench_processes),
+                     ("store", bench_store)):
         wall, events = min(fn() for _ in range(3))
         print(f"{name:>14s}: {wall:6.3f} s  "
               f"({events / wall / 1e6:.2f} M events/s)")

@@ -19,9 +19,9 @@ static pass:
 
 When enabled (``pytest --sanitize``, ``python -m repro cluster
 --sanitize``, ``python -m repro chaos --sanitize``) this module
-installs hooks into :mod:`repro.osiris.queues` and
-:mod:`repro.sim.core`.  The hooks observe; they never perturb event
-order, so a sanitized run's report is byte-identical to an
+installs hooks into :mod:`repro.osiris.queues`, :mod:`repro.sim.core`
+and :mod:`repro.sim.process`.  The hooks observe; they never perturb
+event order, so a sanitized run's report is byte-identical to an
 unsanitized one (tests/test_sanitize.py pins this).
 
 Actor identity defaults to the accessing side (``"host"`` /
@@ -30,6 +30,10 @@ threads -- wraps its queue operations in :func:`actor`::
 
     with sanitize.actor("txproc-0"):
         queue.push(desc)
+
+An ``actor`` block names the process that opened it only: a process
+that the block's operations wake synchronously runs with an actor
+stack of its own.
 """
 
 from __future__ import annotations
@@ -86,6 +90,24 @@ def current_actor(by_host: bool) -> str:
     if _ACTOR_STACK:
         return _ACTOR_STACK[-1]
     return "host" if by_host else "board"
+
+
+def _own_actor(step):
+    """Wrap a process's resume callback so that the process runs with
+    an actor stack of its own.  A pointer store then belongs to the
+    actor that issued it: a process woken synchronously inside another
+    process's ``actor`` block (a driver thread resumed by the signal a
+    board-side ``push`` fires) does not run as that actor."""
+
+    def resume(value=None, exc=None):
+        outer = _ACTOR_STACK[:]
+        _ACTOR_STACK.clear()
+        try:
+            step(value, exc)
+        finally:
+            _ACTOR_STACK[:] = outer
+
+    return resume
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +220,11 @@ def enable() -> None:
     global _enabled
     from ..osiris import queues as _queues
     from ..sim import core as _core
+    from ..sim import process as _process
     _QUEUE_OWNERS.clear()
     _queues._POINTER_HOOK = _pointer_hook
     _core.set_sanitizer_factory(SimSanitizer)
+    _process.set_resume_wrapper(_own_actor)
     _enabled = True
 
 
@@ -208,8 +232,10 @@ def disable() -> None:
     global _enabled
     from ..osiris import queues as _queues
     from ..sim import core as _core
+    from ..sim import process as _process
     _queues._POINTER_HOOK = None
     _core.set_sanitizer_factory(None)
+    _process.set_resume_wrapper(None)
     _QUEUE_OWNERS.clear()
     _enabled = False
 

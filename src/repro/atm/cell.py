@@ -25,7 +25,7 @@ from typing import Optional
 from ..hw.specs import AAL_PAYLOAD_BYTES, ATM_CELL_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     """One ATM cell after header stripping."""
 

@@ -216,8 +216,11 @@ class Fabric:
                  fidelity: Optional[Fidelity] = None,
                  names: Optional[Sequence[str]] = None,
                  **host_kw):
+        if n_hosts is not None and n_hosts < 2:
+            raise SimulationError(
+                f"a fabric needs at least two hosts (n_hosts={n_hosts})")
         if isinstance(machines, MachineSpec):
-            machines = [machines] * (n_hosts if n_hosts else 2)
+            machines = [machines] * (2 if n_hosts is None else n_hosts)
         machines = list(machines)
         if n_hosts is not None and n_hosts != len(machines):
             raise SimulationError(

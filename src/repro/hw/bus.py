@@ -33,16 +33,26 @@ class TurboChannel:
         self.dma_bytes_read = 0
         self.dma_bytes_written = 0
         self.pio_words = 0
+        # Transaction times by size, filled as sizes occur (a run uses
+        # a handful: one or two cells, and page-boundary remainders).
+        self._read_us: dict[int, float] = {}
+        self._write_us: dict[int, float] = {}
 
     def dma_read(self, nbytes: int) -> Generator[Any, Any, None]:
         """One DMA transaction reading host memory (transmit direction)."""
         self.dma_bytes_read += nbytes
-        return self.resource.use(self.spec.dma_read_us(nbytes), PRIO_DMA)
+        cost = self._read_us.get(nbytes)
+        if cost is None:
+            cost = self._read_us[nbytes] = self.spec.dma_read_us(nbytes)
+        return self.resource.use(cost, PRIO_DMA)
 
     def dma_write(self, nbytes: int) -> Generator[Any, Any, None]:
         """One DMA transaction writing host memory (receive direction)."""
         self.dma_bytes_written += nbytes
-        return self.resource.use(self.spec.dma_write_us(nbytes), PRIO_DMA)
+        cost = self._write_us.get(nbytes)
+        if cost is None:
+            cost = self._write_us[nbytes] = self.spec.dma_write_us(nbytes)
+        return self.resource.use(cost, PRIO_DMA)
 
     def pio_read_words(self, nwords: int) -> Generator[Any, Any, None]:
         """Host CPU reads ``nwords`` from board memory, one word at a time."""

@@ -56,27 +56,36 @@ class DataCache:
         """CPU load: returns possibly stale bytes, filling on miss."""
         if not self.enabled:
             return self.memory.read(addr, nbytes)
-        out = bytearray()
+        if nbytes <= 0:
+            return b""
         line = self.spec.line_bytes
-        pos = addr
+        n_lines = self.n_lines
+        lines = self._lines
+        start = addr - addr % line
         end = addr + nbytes
+        # One memory read covers every line the load touches: the
+        # fill on a miss, the freshness check on a hit.
+        fresh = self.memory.read(start, -(-(end - start) // line) * line)
+        out = bytearray()
+        pos = addr
         while pos < end:
-            index, tag, offset = self._split(pos)
+            number, offset = divmod(pos, line)
+            index = number % n_lines
+            tag = number // n_lines
             take = min(line - offset, end - pos)
-            cached = self._lines.get(index)
+            at = pos - offset - start
+            cached = lines.get(index)
             if cached is not None and cached[0] == tag:
                 self.hits += 1
                 data = cached[1][offset:offset + take]
-                fresh = self.memory.read(pos, take)
-                if data != fresh:
+                if data != fresh[at + offset:at + offset + take]:
                     self.stale_reads += 1
             else:
                 self.misses += 1
-                base = pos - offset
-                fill = self.memory.read(base, line)
-                self._lines[index] = (tag, fill)
+                fill = fresh[at:at + line]
+                lines[index] = (tag, fill)
                 data = fill[offset:offset + take]
-            out.extend(data)
+            out += data
             pos += take
         return bytes(out)
 
@@ -104,20 +113,23 @@ class DataCache:
 
     def _merge(self, addr: int, data: bytes, fill_missing: bool) -> None:
         line = self.spec.line_bytes
+        n_lines = self.n_lines
+        lines = self._lines
         pos = addr
         end = addr + len(data)
         while pos < end:
-            index, tag, offset = self._split(pos)
+            number, offset = divmod(pos, line)
+            index = number % n_lines
+            tag = number // n_lines
             take = min(line - offset, end - pos)
-            cached = self._lines.get(index)
+            cached = lines.get(index)
             if cached is not None and cached[0] == tag:
                 content = bytearray(cached[1])
                 content[offset:offset + take] = \
                     data[pos - addr:pos - addr + take]
-                self._lines[index] = (tag, bytes(content))
+                lines[index] = (tag, bytes(content))
             elif fill_missing:
-                base = pos - offset
-                self._lines[index] = (tag, self.memory.read(base, line))
+                lines[index] = (tag, self.memory.read(pos - offset, line))
             pos += take
 
     # -- maintenance ---------------------------------------------------------
@@ -132,14 +144,13 @@ class DataCache:
         self.invalidated_words += words
         if self.enabled:
             line = self.spec.line_bytes
-            start = addr - (addr % line)
-            pos = start
-            while pos < addr + nbytes:
-                index, tag, _ = self._split(pos)
-                cached = self._lines.get(index)
-                if cached is not None and cached[0] == tag:
-                    del self._lines[index]
-                pos += line
+            n_lines = self.n_lines
+            lines = self._lines
+            for number in range(addr // line, -(-(addr + nbytes) // line)):
+                index = number % n_lines
+                cached = lines.get(index)
+                if cached is not None and cached[0] == number // n_lines:
+                    del lines[index]
         return words
 
     def invalidate_all(self) -> None:

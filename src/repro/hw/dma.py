@@ -64,6 +64,9 @@ class DmaController:
         self.memory = memory
         self.cache = cache
         self.mode = mode
+        # The mode's transaction length cap (None: no cap), fixed with
+        # the mode at construction.
+        self.max_bytes = mode.max_bytes
         self.page_boundary_stop = page_boundary_stop
         self.page_size = page_size
         self.fidelity = fidelity or Fidelity.full()
@@ -87,16 +90,17 @@ class DmaController:
         if wanted <= 0:
             raise SimulationError("DMA burst must move at least one byte")
         allowed = wanted
-        cap = self.mode.max_bytes
-        if cap is not None:
-            allowed = min(allowed, cap)
+        cap = self.max_bytes
+        if cap is not None and cap < allowed:
+            allowed = cap
         if self.page_boundary_stop:
             to_boundary = self.page_size - (addr % self.page_size)
-            allowed = min(allowed, to_boundary)
+            if to_boundary < allowed:
+                allowed = to_boundary
         return allowed
 
     def _check(self, nbytes: int, addr: int) -> None:
-        cap = self.mode.max_bytes
+        cap = self.max_bytes
         if cap is not None and nbytes > cap:
             raise SimulationError(
                 f"{self.mode.value} DMA cannot move {nbytes} bytes")
@@ -117,11 +121,13 @@ class DmaController:
         self._check(length, addr)
         self.transactions += 1
         self.bytes_moved += length
-        grant = yield self.engine.request()
+        engine = self.engine
+        if not engine.try_acquire():
+            yield engine.request()
         try:
             yield from self.tc.dma_write(length)
         finally:
-            grant.release()
+            engine.release()
         if self.fidelity.copy_data and data is not None:
             if self.cache is not None:
                 self.cache.dma_write(addr, data)
@@ -134,11 +140,13 @@ class DmaController:
         self._check(nbytes, addr)
         self.transactions += 1
         self.bytes_moved += nbytes
-        grant = yield self.engine.request()
+        engine = self.engine
+        if not engine.try_acquire():
+            yield engine.request()
         try:
             yield from self.tc.dma_read(nbytes)
         finally:
-            grant.release()
+            engine.release()
         if self.fidelity.copy_data:
             if self.sgmap is not None and self.sgmap.covers(addr):
                 # Bursts never cross a page, so one translation covers

@@ -51,7 +51,7 @@ class InterruptMode(enum.Enum):
     PER_PDU = "per-pdu"        # traditional baseline
 
 
-@dataclass
+@dataclass(slots=True)
 class _Bucket:
     """One receive buffer holding a slice of the open PDU."""
 
@@ -71,7 +71,7 @@ class _CountDetector:
         return cell.eom
 
 
-@dataclass
+@dataclass(slots=True)
 class _VciState:
     channel: Channel
     detector: Any
@@ -87,7 +87,7 @@ class _VciState:
     dropping: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _Placement:
     state: _VciState
     cell: Cell
@@ -116,7 +116,6 @@ class RxProcessor:
         self.interrupt_mode = interrupt_mode
         self.flow_controlled = flow_controlled
         self.stripe_width = stripe_width
-        self.combine_wait_us = combine_wait_us
         # SEQUENCE mode: declare a destroyed cell after this many later
         # arrivals instead of wedging until the skew window overflows
         # (which a short flow may never do).  None restores the wedge.
@@ -141,25 +140,40 @@ class RxProcessor:
         self.cells_dropped_no_buffer = 0
         self.combined_dmas = 0
         self.single_dmas = 0
+        # Firmware costs, built once and yielded for every cell / PDU.
+        self._cell_time = Delay(board.spec.rx_cell_us)
+        self._pdu_time = Delay(board.spec.rx_pdu_overhead_us)
+        self._combine_wait = Delay(combine_wait_us)
         self.process = spawn(sim, self._run(), "rx-processor")
 
     # -- main loop ----------------------------------------------------------
 
     def _run(self) -> Generator[Any, Any, None]:
-        spec = self.board.spec
+        combine = self.board.rx_dma.mode is DmaMode.DOUBLE_CELL
+        # One get command each, yielded again once answered.
+        next_cell = self.board.rx_fifo.get()
+        dma_slot = self._dma_tokens.get()
         while True:
-            cell = yield self.board.rx_fifo.get()
-            yield Delay(spec.rx_cell_us)
+            cell = yield next_cell
+            yield self._cell_time
             first = yield from self._plan(cell)
             if first is None:
                 continue
             second = None
-            if self.board.rx_dma.mode is DmaMode.DOUBLE_CELL:
+            if combine:
                 second = yield from self._try_combine(first)
-            yield from self._issue_dma(first, second)
-            yield from self._post_dma(first)
+            dma = self._dma_command(first, second)
+            # A slot in the DMA command queue: blocks only when it is
+            # full (the engine runs concurrently with cell processing).
+            yield dma_slot
+            first.state.last_dma = spawn(self.sim, dma, "rx-dma")
+            handover = self._post_dma(first)
+            if handover is not None:
+                yield from handover
             if second is not None:
-                yield from self._post_dma(second)
+                handover = self._post_dma(second)
+                if handover is not None:
+                    yield from handover
 
     # -- placement ------------------------------------------------------------
 
@@ -277,16 +291,16 @@ class RxProcessor:
         immediately after the first (section 2.5.1)."""
         if first.cell.eom:
             return None
-        items = self.board.rx_fifo.items
-        if not items:
+        fifo = self.board.rx_fifo
+        nxt: Optional[Cell] = fifo.peek()
+        if nxt is None:
             # The successor may be one cell-time behind on the wire;
             # waiting for its header costs less than a separate DMA's
             # overhead, so the firmware holds briefly.
-            yield Delay(self.combine_wait_us)
-            items = self.board.rx_fifo.items
-            if not items:
+            yield self._combine_wait
+            nxt = fifo.peek()
+            if nxt is None:
                 return None
-        nxt: Cell = items[0]
         if nxt.vci != first.cell.vci:
             return None
         if not self._is_contiguous(first, nxt):
@@ -298,9 +312,9 @@ class RxProcessor:
         if self.board.rx_dma.max_burst(first.addr, 2 * AAL_PAYLOAD_BYTES) \
                 < 2 * AAL_PAYLOAD_BYTES:
             return None
-        ok, cell = self.board.rx_fifo.try_get()
+        ok, cell = fifo.try_get()
         assert ok and cell is nxt
-        yield Delay(self.board.spec.rx_cell_us)
+        yield self._cell_time
         second = yield from self._plan(cell)
         return second
 
@@ -317,55 +331,47 @@ class RxProcessor:
 
     # -- DMA ------------------------------------------------------------------
 
-    def _issue_dma(self, first: _Placement,
-                   second: Optional[_Placement]
-                   ) -> Generator[Any, Any, None]:
+    def _dma_command(self, first: _Placement,
+                     second: Optional[_Placement]
+                     ) -> Generator[Any, Any, None]:
+        """The DMA moving one placed cell, or two combined ones."""
+        copy = self.board.fidelity.copy_data
         if second is not None:
-            data = None
-            if self.board.fidelity.copy_data:
-                data = first.cell.payload + second.cell.payload
             self.combined_dmas += 1
-            proc = yield from self._spawn_dma(first.addr, data,
-                                              2 * AAL_PAYLOAD_BYTES)
-            first.state.last_dma = proc
-        else:
-            data = (first.cell.payload
-                    if self.board.fidelity.copy_data else None)
-            self.single_dmas += 1
-            proc = yield from self._spawn_dma(first.addr, data,
-                                              AAL_PAYLOAD_BYTES)
-            first.state.last_dma = proc
+            data = (first.cell.payload + second.cell.payload
+                    if copy else None)
+            return self._dma(first.addr, data, 2 * AAL_PAYLOAD_BYTES)
+        self.single_dmas += 1
+        data = first.cell.payload if copy else None
+        return self._dma(first.addr, data, AAL_PAYLOAD_BYTES)
 
-    def _spawn_dma(self, addr: int, data: Optional[bytes], nbytes: int
-                   ) -> Generator[Any, Any, Process]:
-        """Issue a DMA command; blocks only when the command queue is
-        full (the engine runs concurrently with cell processing)."""
-        yield self._dma_tokens.get()
-
-        def dma_task() -> Generator[Any, Any, None]:
-            # The controller stops at page boundaries and waits for a
-            # continuation address (section 2.5.2), so a payload that
-            # straddles a boundary costs two transactions.
-            pos = addr
-            left = nbytes
-            offset = 0
-            while left > 0:
-                burst = self.board.rx_dma.max_burst(pos, left)
-                chunk = (data[offset:offset + burst]
-                         if data is not None else None)
-                yield from self.board.rx_dma.write_host(
-                    pos, data=chunk, nbytes=burst)
-                pos += burst
-                offset += burst
-                left -= burst
-            self._dma_tokens.try_put(None)
-
-        return spawn(self.sim, dma_task(), "rx-dma")
+    def _dma(self, addr: int, data: Optional[bytes], nbytes: int
+             ) -> Generator[Any, Any, None]:
+        """One DMA command, run as a process of its own."""
+        dma = self.board.rx_dma
+        # The controller stops at page boundaries and waits for a
+        # continuation address (section 2.5.2), so a payload that
+        # straddles a boundary costs two transactions.
+        pos = addr
+        left = nbytes
+        offset = 0
+        while left > 0:
+            burst = dma.max_burst(pos, left)
+            chunk = (data[offset:offset + burst]
+                     if data is not None else None)
+            yield from dma.write_host(pos, data=chunk, nbytes=burst)
+            pos += burst
+            offset += burst
+            left -= burst
+        self._dma_tokens.try_put(None)
 
     # -- completion ----------------------------------------------------------------
 
     def _post_dma(self, placement: _Placement
-                  ) -> Generator[Any, Any, None]:
+                  ) -> Optional[Generator[Any, Any, None]]:
+        """Feed the placed cell to its reassembler.  Returns the
+        hand-over it triggers (a finished PDU, or buffers the PDU has
+        grown past) for the caller to run, or None."""
         state = placement.state
         cell = placement.cell
         try:
@@ -389,18 +395,20 @@ class RxProcessor:
                 # their own EOMs complete.
                 self.loss_resyncs += 1
                 state.detector.gap_resync()
-            yield from self._deliver_pdu(state, error=True)
-            return
-        completed = self._completed(result)
-        if completed:
-            yield from self._deliver_pdu(state, error=False)
-        elif self.reassembly_mode is SegmentMode.IN_ORDER:
+            return self._deliver_pdu(state, error=True)
+        if self._completed(result):
+            return self._deliver_pdu(state, error=False)
+        if self.reassembly_mode is SegmentMode.IN_ORDER:
             # 'When the buffer is filled ... the processor adds the
             # buffer to the receive queue' (section 2.1.1): hand over
             # buffers the PDU has grown past without waiting for the
             # end of the PDU.
-            yield from self._deliver_filled_buckets(
-                state, placement.bucket_index)
+            current = placement.bucket_index
+            ready = [i for i in state.buckets if i < current]
+            if ready:
+                ready.sort()
+                return self._deliver_filled_buckets(state, ready)
+        return None
 
     def _completed(self, result: Any) -> bool:
         if result is None or result is False:
@@ -413,12 +421,8 @@ class RxProcessor:
             return len(result) > 0
         return False
 
-    def _deliver_filled_buckets(self, state: _VciState,
-                                current_index: int
+    def _deliver_filled_buckets(self, state: _VciState, ready: list[int]
                                 ) -> Generator[Any, Any, None]:
-        ready = [i for i in sorted(state.buckets) if i < current_index]
-        if not ready:
-            return
         if state.last_dma is not None and not state.last_dma.done:
             yield state.last_dma
         for index in ready:
@@ -431,15 +435,15 @@ class RxProcessor:
                      error: bool) -> Generator[Any, Any, None]:
         """PDU complete: wait for its last DMA, enqueue buffers, maybe
         interrupt, reset per-PDU state."""
-        spec = self.board.spec
-        yield Delay(spec.rx_pdu_overhead_us)
+        yield self._pdu_time
         if state.last_dma is not None and not state.last_dma.done:
             yield state.last_dma
         channel = state.channel
         total = state.max_offset_seen
-        indices = sorted(state.buckets)
+        buckets = state.buckets
+        indices = list(buckets) if len(buckets) == 1 else sorted(buckets)
         for position, index in enumerate(indices):
-            bucket = state.buckets[index]
+            bucket = buckets[index]
             start = index * self.bufsize
             length = min(self.bufsize, total - start)
             flags = 0
@@ -518,6 +522,7 @@ class FramedPduSource:
 
     def _run(self) -> Generator[Any, Any, None]:
         copy = self.board.fidelity.copy_data
+        pace = Delay(self.cell_pace_us)
         for _ in range(self.repeat):
             for framed in self._framed:
                 n = len(framed) // AAL_PAYLOAD_BYTES
@@ -527,7 +532,7 @@ class FramedPduSource:
                                if copy else b"")
                     cell = Cell(vci=self.vci, payload=payload,
                                 eom=(i == n - 1), tx_index=i)
-                    yield Delay(self.cell_pace_us)
+                    yield pace
                     yield self.board.rx_fifo.put(cell)
             self.rounds_generated += 1
 
@@ -577,9 +582,10 @@ class FictitiousPduSource:
                        tx_index=i)
 
     def _run(self) -> Generator[Any, Any, None]:
+        pace = Delay(self.cell_pace_us)
         for _ in range(self.pdu_count):
             for cell in self._cells():
-                yield Delay(self.cell_pace_us)
+                yield pace
                 yield self.board.rx_fifo.put(cell)
             self.pdus_generated += 1
 

@@ -106,8 +106,9 @@ class _PduTransmission:
 
     def step(self) -> Generator[Any, Any, None]:
         """Gather (via DMA) and emit the next cell."""
-        dma = self.txp.board.tx_dma
-        cap = dma.mode.max_bytes or 1 << 30
+        txp = self.txp
+        dma = txp.board.tx_dma
+        cap = dma.max_bytes or 1 << 30
         # DMA until one whole cell's payload has been gathered (two
         # bursts at buffer/page edges -- the section 2.5.2 two-address
         # continuation).  In double-cell mode one burst may gather two
@@ -130,48 +131,49 @@ class _PduTransmission:
                 with maybe_actor("tx-processor"):
                     popped = self.channel.tx_queue.pop(by_host=False)
                 assert popped == desc
-                self.txp._maybe_tx_space_irq(self.channel)
+                txp._maybe_tx_space_irq(self.channel)
                 self._desc_index += 1
                 self._buf_offset = 0
             gathered = self._acc // AAL_PAYLOAD_BYTES
             if self._data_left == 0 and self._acc % AAL_PAYLOAD_BYTES:
                 gathered += 1  # final partial cell (pad+trailer follow)
         if gathered > 0:
-            emit = max(gathered, 1)
             self._acc -= min(self._acc, gathered * AAL_PAYLOAD_BYTES)
-            for _ in range(emit):
-                if self.emitted < self.n_cells:
-                    yield from self._emit_cell()
-            return
-        # Pad/trailer-only cells carry no host data.
-        yield from self._emit_cell()
+        else:
+            gathered = 1       # a pad/trailer-only cell carries no host data
+        for _ in range(gathered):
+            if self.emitted < self.n_cells:
+                if txp.credit_gate is not None:
+                    # Fabric backpressure: hold the cell until its VCI
+                    # may emit (credit available / EFCI cooldown elapsed).
+                    yield from txp.credit_gate.acquire(self.vci)
+                yield txp._cell_time
+                self._emit()
 
-    def _emit_cell(self) -> Generator[Any, Any, None]:
+    def _emit(self) -> None:
+        """Put the next cell on the link; its cell time is spent."""
         txp = self.txp
         index = self.emitted
-        if txp.credit_gate is not None:
-            # Fabric backpressure: hold the cell until its VCI may
-            # emit (credit available / EFCI cooldown elapsed).
-            yield from txp.credit_gate.acquire(self.vci)
-        yield Delay(txp.board.spec.tx_cell_us)
+        n_cells = self.n_cells
         if self.framed is not None:
             payload = self.framed[index * AAL_PAYLOAD_BYTES:
                                   (index + 1) * AAL_PAYLOAD_BYTES]
         else:
             payload = b""
-        if txp.segment_mode is SegmentMode.CONCURRENT:
+        mode = txp.segment_mode
+        if mode is SegmentMode.CONCURRENT:
             stripe = txp.link.n_links if txp.link else 4
-            eom = index >= self.n_cells - min(stripe, self.n_cells)
+            eom = index >= n_cells - min(stripe, n_cells)
         else:
-            eom = index == self.n_cells - 1
+            eom = index == n_cells - 1
         cell = Cell(
             vci=self.vci,
             payload=payload,
             eom=eom,
             seq=(self.seq_base + index
-                 if txp.segment_mode is SegmentMode.SEQUENCE else None),
-            atm_last=(txp.segment_mode is SegmentMode.CONCURRENT
-                      and index == self.n_cells - 1),
+                 if mode is SegmentMode.SEQUENCE else None),
+            atm_last=(mode is SegmentMode.CONCURRENT
+                      and index == n_cells - 1),
             tx_index=index,
         )
         self.emitted += 1
@@ -200,6 +202,9 @@ class TxProcessor:
         self.segment_mode = segment_mode
         self.interleave = interleave
         self.work = Signal("tx.work")
+        # Firmware costs, built once and yielded for every cell / PDU.
+        self._cell_time = Delay(board.spec.tx_cell_us)
+        self._pdu_time = Delay(board.spec.tx_pdu_overhead_us)
         # Optional per-VCI emission gate (duck-typed: anything with an
         # ``acquire(vci)`` subroutine, e.g. repro.cluster.backpressure.
         # CreditGate).  The fabric installs one when flow control is on.
@@ -254,21 +259,16 @@ class TxProcessor:
                 continue
             if self.interleave:
                 yield from self._step_interleaved(ring)
-            else:
-                channel = ring[0]
-                self._last_served = channel.channel_id
-                yield from self._transmit_whole_pdu(channel)
-
-    # -- sequential discipline ---------------------------------------------------
-
-    def _transmit_whole_pdu(self, channel: Channel
-                            ) -> Generator[Any, Any, None]:
-        tx = yield from self._start_transmission(channel)
-        if tx is None:
-            return
-        while not tx.done:
-            yield from tx.step()
-        self._finish_transmission(tx)
+                continue
+            # Sequential discipline: the whole PDU, cell by cell.
+            channel = ring[0]
+            self._last_served = channel.channel_id
+            tx = yield from self._start_transmission(channel)
+            if tx is None:
+                continue
+            while not tx.done:
+                yield from tx.step()
+            self._finish_transmission(tx)
 
     # -- interleaved discipline -----------------------------------------------------
 
@@ -305,7 +305,7 @@ class TxProcessor:
                         channel.tx_queue.pop(by_host=False)
                     self._maybe_tx_space_irq(channel)
                 return None
-        yield Delay(self.board.spec.tx_pdu_overhead_us)
+        yield self._pdu_time
         if self.link is not None and not self.interleave:
             self.link.start_pdu()
         return _PduTransmission(self, channel, descs)

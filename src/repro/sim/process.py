@@ -27,19 +27,38 @@ Resume order -- the contract every model's event order rests on:
 * A process woken by a release, a deposit or a fire runs to its next
   blocking yield before the code that woke it continues.
 
-:meth:`Process._step` answers ready resource requests and puts in a
-loop instead of by recursion (a trampoline); every other command takes
-the waiter path, which resumes synchronously in the same order.
+* A get that makes room in a full store lets the first blocked putter
+  in once the getter blocks, sleeps or ends -- the latest such get
+  first -- and not at all if the getter raised.
+
+:meth:`Process._step` answers ready resource requests, puts and gets
+in a loop instead of by recursion (a trampoline) and schedules sleeps
+itself; every other command takes the waiter path, which resumes
+synchronously in the same order.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from .core import NO_KEY, Delay, SimulationError, Simulator
-from .resources import _Put, _Request
+from .resources import _Get, _Put, _Request
 
 ProcessGen = Generator[Any, Any, Any]
+
+# Installed by repro.analysis.sanitize while it is enabled: wraps the
+# resume callback of every process built afterwards (so that each
+# process runs under its own actor attribution).  None costs nothing
+# per step: it is read once, when a process is built.
+_resume_wrapper: Optional[Callable[[Callable], Callable]] = None
+
+
+def set_resume_wrapper(
+        wrapper: Optional[Callable[[Callable], Callable]]) -> None:
+    """Install (or clear) the per-process resume wrapper."""
+    global _resume_wrapper
+    _resume_wrapper = wrapper
 
 
 class Signal:
@@ -54,7 +73,10 @@ class Signal:
     def __init__(self, name: str = "signal"):
         self.name = name
         self._waiters: list[Callable[[Any], None]] = []
-        self._subscribers: list[Callable[[Any], None]] = []
+        # A tuple, rebuilt on subscribe: fire() iterates it without a
+        # copy, and a callback subscribed during a fire waits for the
+        # next one.
+        self._subscribers: tuple[Callable[[Any], None], ...] = ()
         self.fire_count = 0
 
     @property
@@ -66,17 +88,20 @@ class Signal:
 
     def subscribe(self, callback: Callable[[Any], None]) -> None:
         """Register a persistent callback invoked on every fire."""
-        self._subscribers.append(callback)
+        self._subscribers = (*self._subscribers, callback)
 
     def fire(self, value: Any = None) -> int:
         """Wake all waiters; returns how many were woken."""
         self.fire_count += 1
-        waiters, self._waiters = self._waiters, []
-        for resume in waiters:
-            resume(value)
-        for callback in list(self._subscribers):
+        waiters = self._waiters
+        woken = len(waiters)
+        if woken:
+            self._waiters = []
+            for resume in waiters:
+                resume(value)
+        for callback in self._subscribers:
             callback(value)
-        return len(waiters)
+        return woken
 
     def __repr__(self) -> str:
         return f"Signal({self.name!r}, waiters={len(self._waiters)})"
@@ -128,7 +153,8 @@ class Process:
         # Built on first join: most processes are never joined.
         self._done_latch: Optional[Latch] = None
         # Bound once; every wake-up and waiter registration reuses it.
-        self._resume = self._step
+        self._resume = (self._step if _resume_wrapper is None
+                        else _resume_wrapper(self._step))
         # The seq of the scheduled wake-up while sleeping, the command
         # while blocked on a waiter, None while running or done.
         self._pending: Any = sim._schedule(sim.now, NO_KEY, self._resume)
@@ -158,18 +184,24 @@ class Process:
             raise SimulationError(
                 f"cannot interrupt process {self.name!r}: it {state}")
         self.sim._cancel(pending)
-        self._step(None, Interrupted(cause))
+        self._resume(None, Interrupted(cause))
 
     def _step(self, value: Any = None,
               exc: Optional[BaseException] = None) -> None:
         """Resume the generator with ``value`` (or throw ``exc`` into
         it) and run it until it sleeps, blocks or ends.
 
-        Ready resource requests and store puts are answered in the loop
-        instead of through a waiter callback that would re-enter it.
+        Ready resource requests, store puts and store gets are answered
+        in the loop instead of through a waiter callback that would
+        re-enter it; sleeps go straight onto the simulator's heap.
         """
         self._pending = None
         gen = self._gen
+        # Bounded stores this step took an item from: each lets a
+        # blocked putter in once the step has blocked, slept or ended,
+        # latest get first, and none if it raised (the resume order the
+        # module docstring states).
+        admit: Optional[list] = None
         while True:
             try:
                 if exc is None:
@@ -179,44 +211,65 @@ class Process:
                     exc = None
             except StopIteration as stop:
                 self._finish(stop.value)
-                return
+                break
             except Interrupted as err:
                 if exc is None:            # raised by the model itself
                     self._fail(err)
                     raise
                 self._finish(None)         # an uncaught interrupt ends it
-                return
+                break
             except BaseException as err:
                 self._fail(err)            # propagate model bugs loudly
                 raise
             cls = type(command)
-            if cls is Delay or command is None or isinstance(command, Delay):
-                sim = self.sim
-                self._pending = sim._schedule(
-                    sim._now if command is None
-                    else sim._now + command.duration,
-                    NO_KEY, self._resume)
-                return
-            if cls is _Request:
-                resource = command.resource
-                if resource._in_use < resource.capacity:
-                    value = resource._take()      # a free unit: no waiter
-                    continue
-            elif cls is _Put:
-                store = command.store
-                if (store.capacity is None
-                        or len(store._items) < store.capacity):
-                    store._deposit(command.item)  # wakes a getter first
-                    value = None
-                    continue
-            if not hasattr(command, "_add_waiter"):
-                err = SimulationError(
-                    f"process {self.name!r} yielded unsupported {command!r}")
-                self._fail(err)
-                raise err
-            self._pending = command
-            command._add_waiter(self._resume)
-            return
+            if cls is Delay:
+                when = self.sim._now + command.duration
+            elif command is None:
+                when = self.sim._now
+            else:
+                if cls is _Get:
+                    store = command.store
+                    if store._items:
+                        value = store._items.popleft()
+                        if store.capacity is not None:
+                            if admit is None:
+                                admit = []
+                            admit.append(store)
+                        continue
+                elif cls is _Request:
+                    resource = command.resource
+                    if resource._in_use < resource.capacity:
+                        value = resource._take()  # a free unit: no waiter
+                        continue
+                elif cls is _Put:
+                    store = command.store
+                    if (store.capacity is None
+                            or len(store._items) < store.capacity):
+                        store._deposit(command.item)  # wakes a getter first
+                        value = None
+                        continue
+                add_waiter = getattr(command, "_add_waiter", None)
+                if add_waiter is not None:        # block until resumed
+                    self._pending = command
+                    add_waiter(self._resume)
+                    break
+                if not isinstance(command, Delay):
+                    err = SimulationError(
+                        f"process {self.name!r} yielded unsupported "
+                        f"{command!r}")
+                    self._fail(err)
+                    raise err
+                when = self.sim._now + command.duration  # a Delay subclass
+            # Sleep: Simulator._schedule, inlined.
+            sim = self.sim
+            seq = next(sim._seq)
+            sim._live[seq] = (when, NO_KEY, self._resume)
+            heappush(sim._heap, (when, NO_KEY, seq))
+            self._pending = seq
+            break
+        if admit is not None:
+            for store in reversed(admit):
+                store._admit_putter()
 
     def _finish(self, result: Any) -> None:
         self.done = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from .core import Delay, SimulationError, Simulator
@@ -29,11 +30,15 @@ class Grant:
         if self.released:
             raise SimulationError("double release of resource grant")
         self.released = True
-        self.resource._on_release(self)
+        self.resource.release()
 
 
 class _Request:
-    """Awaitable command produced by :meth:`Resource.request`."""
+    """Awaitable command produced by :meth:`Resource.request`.
+
+    The process kernel grants it at once when a unit is free; otherwise
+    it waits in the resource's heap as ``(priority, seq, request)``.
+    """
 
     __slots__ = ("resource", "priority", "seq", "_resume")
 
@@ -44,11 +49,10 @@ class _Request:
         self._resume: Optional[Callable[[Any], None]] = None
 
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
+        # The kernel found no free unit: wait for a release.
         self._resume = resume
-        self.resource._enqueue(self)
-
-    def __lt__(self, other: "_Request") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
+        heapq.heappush(self.resource._waiting,
+                       (self.priority, self.seq, self))
 
     def __repr__(self) -> str:
         return f"{self.resource.name}.request({self.priority})"
@@ -69,7 +73,8 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiting: list[_Request] = []
+        # Heap of (priority, seq, request): the tuple compares in C.
+        self._waiting: list[tuple[float, int, _Request]] = []
         self._seq = itertools.count()
         self.busy_time = 0.0
         self.grants = 0
@@ -90,6 +95,35 @@ class Resource:
         """
         return _Request(self, priority, next(self._seq))
 
+    def try_acquire(self) -> bool:
+        """Take a free unit without yielding, or return False.
+
+        The fast path of a request: a process that finds a unit free
+        takes it exactly when a yielded request would have been
+        granted, without a :class:`Grant` or a trip through the process
+        kernel.  Give the unit back with :meth:`release`.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self.grants += 1
+            if self._busy_since is None:
+                self._busy_since = self.sim._now
+            return True
+        return False
+
+    def release(self) -> None:
+        """Return one unit, taken by :meth:`try_acquire` or granted to a
+        request, and hand it to the first waiter."""
+        if self._in_use == 0:
+            raise SimulationError(f"release of idle resource {self.name!r}")
+        self._in_use -= 1
+        if self._in_use == 0 and self._busy_since is not None:
+            self.busy_time += self.sim._now - self._busy_since
+            self._busy_since = None
+        if self._waiting and self._in_use < self.capacity:
+            request = heapq.heappop(self._waiting)[2]
+            request._resume(self._take())
+
     def use(self, duration: float,
             priority: float = 0.0) -> Generator[Any, Any, None]:
         """Subroutine: acquire, hold ``duration`` microseconds, release.
@@ -98,42 +132,18 @@ class Resource:
         unit is taken without yielding, exactly when a yielded request
         would have been granted.
         """
-        if self._in_use < self.capacity:
-            grant = self._take()
-        else:
-            grant = yield self.request(priority)
+        if not self.try_acquire():
+            yield self.request(priority)
         try:
             yield Delay(duration)
         finally:
-            grant.release()
+            self.release()
 
     def _take(self) -> Grant:
-        """Hand out a free unit (the caller checked there is one)."""
-        self._in_use += 1
-        self.grants += 1
-        now = self.sim._now
-        if self._busy_since is None:
-            self._busy_since = now
-        return Grant(self, now)
-
-    def _enqueue(self, request: _Request) -> None:
-        if self._in_use < self.capacity:
-            self._grant(request)
-        else:
-            heapq.heappush(self._waiting, request)
-
-    def _grant(self, request: _Request) -> None:
-        grant = self._take()
-        assert request._resume is not None
-        request._resume(grant)
-
-    def _on_release(self, grant: Grant) -> None:
-        self._in_use -= 1
-        if self._in_use == 0 and self._busy_since is not None:
-            self.busy_time += self.sim.now - self._busy_since
-            self._busy_since = None
-        if self._waiting and self._in_use < self.capacity:
-            self._grant(heapq.heappop(self._waiting))
+        """Hand out a free unit as a :class:`Grant` (the caller checked
+        there is one)."""
+        self.try_acquire()
+        return Grant(self, self.sim._now)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time the resource was busy (any units in use)."""
@@ -151,6 +161,8 @@ class Resource:
 
 
 class _Get:
+    """Awaitable command produced by :meth:`Store.get`."""
+
     __slots__ = ("store", "_resume")
 
     def __init__(self, store: "Store"):
@@ -158,14 +170,17 @@ class _Get:
         self._resume: Optional[Callable[[Any], None]] = None
 
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
+        # The kernel found the store empty: wait for a deposit.
         self._resume = resume
-        self.store._enqueue_get(self)
+        self.store._getters.append(self)
 
     def __repr__(self) -> str:
         return f"{self.store.name}.get()"
 
 
 class _Put:
+    """Awaitable command produced by :meth:`Store.put`."""
+
     __slots__ = ("store", "item", "_resume")
 
     def __init__(self, store: "Store", item: Any):
@@ -174,8 +189,9 @@ class _Put:
         self._resume: Optional[Callable[[Any], None]] = None
 
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
+        # The kernel found the store full: wait for a get to admit it.
         self._resume = resume
-        self.store._enqueue_put(self)
+        self.store._putters.append(self)
 
     def __repr__(self) -> str:
         return f"{self.store.name}.put({self.item!r})"
@@ -185,7 +201,11 @@ class Store:
     """FIFO channel between processes, with optional capacity bound.
 
     ``yield store.get()`` blocks until an item is available;
-    ``yield store.put(item)`` blocks while the store is full.
+    ``yield store.put(item)`` blocks while the store is full.  A process
+    may yield the same get command again once it has been answered.  A get
+    that finds the store non-empty is answered inside the process
+    kernel's loop; a putter blocked on a full store is let in once the
+    getter that made room blocks (see :meth:`Process._step`).
     """
 
     def __init__(self, sim: Simulator, name: str = "store",
@@ -195,17 +215,17 @@ class Store:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self._items: list[Any] = []
-        self._getters: list[_Get] = []
-        self._putters: list[_Put] = []
+        self._items: deque = deque()
+        self._getters: deque[_Get] = deque()
+        self._putters: deque[_Put] = deque()
         self.total_put = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def items(self) -> tuple:
-        return tuple(self._items)
+    def peek(self) -> Any:
+        """The oldest item, left in place; None when the store is empty."""
+        return self._items[0] if self._items else None
 
     def get(self) -> _Get:
         return _Get(self)
@@ -224,43 +244,25 @@ class Store:
         """Non-blocking get; returns (ok, item)."""
         if not self._items:
             return False, None
-        item = self._items.pop(0)
+        item = self._items.popleft()
         self._admit_putter()
         return True, item
 
     def _deposit(self, item: Any) -> None:
+        """Hand ``item`` to the first waiting getter, else queue it."""
         self.total_put += 1
         if self._getters:
-            getter = self._getters.pop(0)
-            assert getter._resume is not None
-            getter._resume(item)
+            self._getters.popleft()._resume(item)
         else:
             self._items.append(item)
 
     def _admit_putter(self) -> None:
+        """Let the first blocked putter in, if there is room now."""
         if self._putters and (self.capacity is None
                               or len(self._items) < self.capacity):
-            putter = self._putters.pop(0)
+            putter = self._putters.popleft()
             self._deposit(putter.item)
-            assert putter._resume is not None
             putter._resume(None)
-
-    def _enqueue_get(self, getter: _Get) -> None:
-        if self._items:
-            item = self._items.pop(0)
-            assert getter._resume is not None
-            getter._resume(item)
-            self._admit_putter()
-        else:
-            self._getters.append(getter)
-
-    def _enqueue_put(self, putter: _Put) -> None:
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._deposit(putter.item)
-            assert putter._resume is not None
-            putter._resume(None)
-        else:
-            self._putters.append(putter)
 
     def __repr__(self) -> str:
         return (f"Store({self.name!r}, {len(self._items)} items, "

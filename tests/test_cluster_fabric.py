@@ -158,6 +158,13 @@ def test_backtoback_is_direct_fabric_special_case():
     assert conservation["dropped"] == 0
 
 
+@pytest.mark.parametrize("n_hosts", [0, -1, 1])
+def test_fewer_than_two_hosts_rejected_naming_the_count(n_hosts):
+    with pytest.raises(SimulationError,
+                       match=rf"at least two hosts \(n_hosts={n_hosts}\)"):
+        Fabric(DS5000_200, n_hosts)
+
+
 def test_direct_topology_needs_exactly_two_hosts():
     with pytest.raises(SimulationError):
         Fabric(DS5000_200, 3, topology="direct")

@@ -264,14 +264,27 @@ def test_trace_file_roundtrip(tmp_path):
 # Dynamic attribution (satellite: actor contexts in the fast paths)
 # ---------------------------------------------------------------------------
 
-def test_maybe_actor_is_free_when_disabled():
+@pytest.fixture
+def sanitize_off():
+    """Sanitizing off for the test (``pytest --sanitize`` turns it on
+    for the whole run), restored afterwards."""
+    was = sanitize.is_enabled()
+    sanitize.disable()
+    try:
+        yield
+    finally:
+        if was:
+            sanitize.enable()
+
+
+def test_maybe_actor_is_free_when_disabled(sanitize_off):
     assert not sanitize.is_enabled()
     assert sanitize.maybe_actor("x") is sanitize.maybe_actor("y")
     with sanitize.maybe_actor("x"):
         assert sanitize.current_actor(by_host=False) == "board"
 
 
-def test_maybe_actor_attributes_when_enabled():
+def test_maybe_actor_attributes_when_enabled(sanitize_off):
     with sanitize.enabled():
         with sanitize.maybe_actor("rx-processor"):
             assert sanitize.current_actor(by_host=False) \

@@ -13,7 +13,9 @@ import random
 
 import pytest
 
-from repro.sim import Delay, Latch, Resource, Signal, Simulator, Store, spawn
+from repro.sim import (
+    Delay, Interrupted, Latch, Resource, Signal, Simulator, Store, spawn,
+)
 
 # sha256 of repr(log) for the model below; recompute only for a change
 # that is meant to reorder the kernel's resumes.
@@ -156,3 +158,141 @@ def test_compaction_mid_run_fires_every_live_event_once(drive):
     expected.insert(expected.index(20) + 1, "late")
     assert fired == expected
     assert sim.pending == 0
+
+
+# -- the trampoline's fast paths keep the waiter path's order -----------------
+
+def _blocked_putter(sim, store, item, log, tag):
+    """A process that fills ``store`` with ``item`` once there is room
+    and notes when its put completed."""
+    def putter():
+        yield store.put(item)
+        log.append((sim.now, tag, len(store)))
+    return spawn(sim, putter(), tag)
+
+
+def test_get_from_full_store_admits_putter_after_getter_blocks():
+    sim = Simulator()
+    box = Store(sim, "box", capacity=1)
+    box.try_put("a")
+    log = []
+    _blocked_putter(sim, box, "b", log, "putter")
+
+    def getter():
+        yield Delay(1.0)
+        item = yield box.get()
+        log.append((sim.now, f"got {item}", len(box)))  # putter still out
+        yield Delay(0.0)
+        log.append((sim.now, "getter woke", len(box)))
+
+    spawn(sim, getter(), "getter")
+    sim.run()
+    assert log == [(1.0, "got a", 0), (1.0, "putter", 1),
+                   (1.0, "getter woke", 1)]
+
+
+def test_putters_admitted_latest_get_first():
+    sim = Simulator()
+    first = Store(sim, "first", capacity=1)
+    second = Store(sim, "second", capacity=1)
+    first.try_put("f")
+    second.try_put("s")
+    log = []
+    _blocked_putter(sim, first, "f2", log, "first-putter")
+    _blocked_putter(sim, second, "s2", log, "second-putter")
+
+    def getter():
+        yield Delay(1.0)
+        got = [(yield first.get()), (yield second.get())]
+        log.append((sim.now, f"got {got}", len(first) + len(second)))
+        yield Delay(0.0)                   # blocks: ends this step
+
+    spawn(sim, getter(), "getter")
+    sim.run()
+    assert log == [(1.0, "got ['f', 's']", 0), (1.0, "second-putter", 1),
+                   (1.0, "first-putter", 1)]
+
+
+def test_putter_not_admitted_when_getter_raises():
+    sim = Simulator()
+    box = Store(sim, "box", capacity=1)
+    box.try_put("a")
+    log = []
+    _blocked_putter(sim, box, "b", log, "putter")
+
+    def getter():
+        yield Delay(1.0)
+        yield box.get()
+        raise ValueError("model bug")
+
+    proc = spawn(sim, getter(), "getter")
+    with pytest.raises(ValueError):
+        sim.run()
+    assert proc.failed
+    assert log == [] and len(box) == 0
+
+
+def test_same_get_command_yielded_again():
+    sim = Simulator()
+    box = Store(sim, "box", capacity=2)
+    got = []
+
+    def consumer():
+        get = box.get()
+        for _ in range(4):
+            item = yield get
+            got.append((sim.now, item))
+
+    def producer():
+        for i in range(4):
+            yield box.put(i)
+            yield Delay(1.0 if i % 2 else 0.0)
+
+    spawn(sim, consumer(), "consumer")
+    spawn(sim, producer(), "producer")
+    sim.run()
+    assert got == [(0.0, 0), (0.0, 1), (1.0, 2), (1.0, 3)]
+
+
+def test_use_releases_unit_when_interrupted_during_hold():
+    sim = Simulator()
+    bus = Resource(sim, "bus")
+    log = []
+
+    def holder():
+        try:
+            yield from bus.use(10.0)
+        except Interrupted:
+            log.append((sim.now, "interrupted", bus.in_use))
+
+    def waiter():
+        yield Delay(1.0)
+        yield from bus.use(2.0)             # queued behind the holder
+        log.append((sim.now, "waiter done", bus.in_use))
+
+    proc = spawn(sim, holder(), "holder")
+    spawn(sim, waiter(), "waiter")
+    sim.call_at(4.0, lambda: proc.interrupt("stop"))
+    sim.run()
+    # The release hands the unit to the waiter before the holder's
+    # handler runs.
+    assert log == [(4.0, "interrupted", 1), (6.0, "waiter done", 0)]
+    assert bus.grants == 2
+    assert bus.busy_time == pytest.approx(6.0)
+    assert bus.in_use == 0 and bus.queue_length == 0
+
+
+def test_delay_subclass_still_sleeps():
+    class Nap(Delay):
+        __slots__ = ()
+
+    sim = Simulator()
+    woke = []
+
+    def sleeper():
+        yield Nap(2.5)
+        woke.append(sim.now)
+
+    spawn(sim, sleeper(), "sleeper")
+    sim.run()
+    assert woke == [2.5]
