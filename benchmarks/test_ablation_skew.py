@@ -14,7 +14,7 @@ from repro.atm import SegmentMode, SkewModel, StripedLink, decode_pdu
 from repro.hw import DS5000_200, DataCache, PhysicalMemory, TurboChannel
 from repro.hw.dma import DmaMode
 from repro.osiris import Descriptor, OsirisBoard, RxProcessor, TxProcessor
-from repro.sim import Fidelity, Simulator
+from repro.sim import Simulator
 
 
 def run_skew_transfer(jitter_us: float, mode: SegmentMode,
@@ -22,16 +22,13 @@ def run_skew_transfer(jitter_us: float, mode: SegmentMode,
                       pdus: int = 4) -> dict:
     """Board-to-board transfer over a striped link with skew."""
     sim = Simulator()
-    fidelity = Fidelity.full()
     rigs = []
     for side in range(2):
         memory = PhysicalMemory(8 * 1024 * 1024, DS5000_200.page_size,
-                                fidelity=fidelity,
                                 reserved_bytes=4 * 1024 * 1024)
-        cache = DataCache(DS5000_200.cache, memory, fidelity)
+        cache = DataCache(DS5000_200.cache, memory)
         tc = TurboChannel(sim, DS5000_200.bus, name=f"tc{side}")
         board = OsirisBoard(sim, DS5000_200, tc, memory, cache,
-                            fidelity=fidelity,
                             rx_dma_mode=DmaMode.DOUBLE_CELL)
         rigs.append((memory, board))
     tx_memory, tx_board = rigs[0]

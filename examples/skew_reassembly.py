@@ -22,22 +22,19 @@ from repro.hw.dma import DmaMode
 from repro.osiris import (
     Descriptor, FLAG_END_OF_PDU, OsirisBoard, RxProcessor, TxProcessor,
 )
-from repro.sim import Delay, Fidelity, Simulator, spawn
+from repro.sim import Delay, Simulator, spawn
 
 
 def build_pair(mode, skew, rx_dma_mode=DmaMode.SINGLE_CELL):
     sim = Simulator()
-    fidelity = Fidelity.full()
     rigs = []
     for side in range(2):
         memory = PhysicalMemory(8 * 1024 * 1024, DS5000_200.page_size,
-                                fidelity=fidelity,
                                 reserved_bytes=4 * 1024 * 1024)
-        cache = DataCache(DS5000_200.cache, memory, fidelity)
+        cache = DataCache(DS5000_200.cache, memory)
         tc = TurboChannel(sim, DS5000_200.bus, name=f"tc{side}")
         rigs.append((memory, OsirisBoard(
-            sim, DS5000_200, tc, memory, cache, fidelity=fidelity,
-            rx_dma_mode=rx_dma_mode)))
+            sim, DS5000_200, tc, memory, cache, rx_dma_mode=rx_dma_mode)))
     (tx_mem, tx_board), (rx_mem, rx_board) = rigs
     link = StripedLink(sim, rx_board.deliver_cell, skew=skew)
     TxProcessor(sim, tx_board, link=link, segment_mode=mode)

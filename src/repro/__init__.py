@@ -12,12 +12,12 @@ Public entry points:
 
 from .hw.specs import DEC3000_600, DS5000_200, MACHINES
 from .net import BackToBack, Host
-from .sim import Fidelity, Simulator
+from .sim import Simulator
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "Host", "BackToBack", "Simulator", "Fidelity",
+    "Host", "BackToBack", "Simulator",
     "DS5000_200", "DEC3000_600", "MACHINES",
     "__version__",
 ]

@@ -241,8 +241,6 @@ class AdcChannelDriver:
 
     def _trailer_length(self, descs: list[Descriptor],
                         total: int) -> Optional[int]:
-        if not self.board.fidelity.copy_data:
-            return max(total - 8, 0)
         last = descs[-1]
         raw = self.kernel.cache.read(last.addr + last.length - 8, 8)
         length, _crc = _TRAILER.unpack(raw)

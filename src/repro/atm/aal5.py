@@ -28,6 +28,7 @@ from .crc import fast_crc32 as crc32
 
 TRAILER_BYTES = 8
 _TRAILER = struct.Struct(">II")  # (length, crc32)
+_WORD = struct.Struct(">I")
 
 
 class Aal5Error(Exception):
@@ -60,13 +61,20 @@ def cell_count(data_len: int) -> int:
     return framed_size(data_len) // AAL_PAYLOAD_BYTES
 
 
+def pad_and_trailer(data_len: int, crc: int) -> bytes:
+    """The pad and trailer that close a PDU of ``data_len`` bytes.
+
+    ``crc`` is the running CRC-32 of the data alone, so a sender can
+    frame a PDU whose bytes it has streamed past without keeping them.
+    """
+    tail = (bytes(framed_size(data_len) - data_len - TRAILER_BYTES)
+            + _WORD.pack(data_len))
+    return tail + _WORD.pack(crc32(tail, crc))
+
+
 def encode_pdu(data: bytes) -> bytes:
     """Pad ``data`` and append the AAL5 trailer."""
-    total = framed_size(len(data))
-    pad = total - len(data) - TRAILER_BYTES
-    body = data + b"\x00" * pad
-    crc = crc32(body + _TRAILER.pack(len(data), 0)[:4])
-    return body + _TRAILER.pack(len(data), crc)
+    return data + pad_and_trailer(len(data), crc32(data))
 
 
 def decode_pdu(framed: bytes) -> bytes:
@@ -149,5 +157,5 @@ class Reassembler:
 __all__ = [
     "Aal5Error", "BadLength", "BadCrc", "SegmentMode", "Reassembler",
     "encode_pdu", "decode_pdu", "segment", "framed_size", "cell_count",
-    "TRAILER_BYTES",
+    "pad_and_trailer", "TRAILER_BYTES",
 ]

@@ -80,7 +80,7 @@ from ..atm.switch import BACKPRESSURE_MODES, DRAIN_POLICIES, CellSwitch
 from ..faults import FaultPlan, FaultSite
 from ..hw.specs import STRIPE_LINKS, MachineSpec
 from ..recovery import RecoveryConfig, RecoveryManager
-from ..sim import CellTrain, Fidelity, SimulationError, Simulator
+from ..sim import CellTrain, SimulationError, Simulator
 from ..topology import TOPOLOGIES, TopologySpec, build_ecmp_tables, build_spec
 from .backpressure import CreditGate
 
@@ -213,7 +213,6 @@ class Fabric:
                  recovery: Optional[RecoveryConfig] = None,
                  credit_regen_timeout_us: Optional[float] = None,
                  credit_watchdog_us: Optional[float] = None,
-                 fidelity: Optional[Fidelity] = None,
                  names: Optional[Sequence[str]] = None,
                  **host_kw):
         if n_hosts is not None and n_hosts < 2:
@@ -319,7 +318,7 @@ class Fabric:
             names = [f"h{i}" for i in range(len(machines))]
         self.names = list(names)
         self.hosts: list[Optional[Host]] = [
-            self._make_host(i, spec, names[i], fidelity, host_kw)
+            self._make_host(i, spec, names[i], host_kw)
             for i, spec in enumerate(machines)
         ]
         self.vcis = VciAllocator()
@@ -370,12 +369,11 @@ class Fabric:
     # allocation, trunk numbering, route installation stay global).
 
     def _make_host(self, index: int, spec: MachineSpec, name: str,
-                   fidelity, host_kw: dict):
+                   host_kw: dict):
         # Deferred: repro.net.network subclasses Fabric, so importing
         # repro.net at module scope here would be circular.
         from ..net.host_node import Host
-        return Host(self.sim, spec, name=name, fidelity=fidelity,
-                    **host_kw)
+        return Host(self.sim, spec, name=name, **host_kw)
 
     def _init_ownership(self) -> None:
         """Hook: a shard computes its topology-aware partition here

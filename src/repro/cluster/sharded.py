@@ -99,10 +99,10 @@ class ShardFabric(Fabric):
         # drain-side delay and the delivery land in one simulator.
         return self._switch_shard[t] == self.shard_index
 
-    def _make_host(self, index, spec, name, fidelity, host_kw):
+    def _make_host(self, index, spec, name, host_kw):
         if not self.owns_host(index):
             return None
-        return super()._make_host(index, spec, name, fidelity, host_kw)
+        return super()._make_host(index, spec, name, host_kw)
 
     # -- boundary routing ---------------------------------------------------------
 

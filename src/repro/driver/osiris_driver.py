@@ -403,10 +403,6 @@ class OsirisDriver:
                              ) -> Generator[Any, Any, Optional[int]]:
         """Read the AAL5 trailer (through the cache!) to learn the data
         length; recover lazily when the trailer itself is stale."""
-        if not self.board.fidelity.copy_data:
-            # Timing-only runs carry no bytes; the pad is unknowable
-            # but irrelevant (only raw-ATM paths run in this mode).
-            return max(total - 8, 0)
         last = descs[-1]
         trailer_addr = last.addr + last.length - 8
         for _attempt in range(2):

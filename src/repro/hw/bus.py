@@ -22,6 +22,12 @@ from .specs import BusSpec, MachineSpec
 PRIO_DMA = 0.0
 PRIO_CPU = 0.0
 
+# CPU memory traffic is made of individual transactions; it interleaves
+# with DMA at transaction granularity rather than monopolizing the bus
+# for a whole software phase (otherwise long software phases would
+# overflow the board's cell FIFO).  The bus is taken this long at most.
+BUS_SLICE_US = 1.0
+
 
 class TurboChannel:
     """The I/O bus: timed transactions with the paper's cycle costs."""
@@ -78,21 +84,16 @@ class TurboChannel:
 class MemorySystem:
     """Routes CPU memory traffic either onto the TC or past it.
 
-    ``cpu_memory_time`` is the single fidelity point that distinguishes
-    the two machine generations: shared path (DS5000/200) versus
+    ``cpu_memory_time`` is the single point that distinguishes the two
+    machine generations: shared path (DS5000/200) versus
     crossbar (DEC 3000/600).
     """
 
     def __init__(self, sim: Simulator, machine: MachineSpec,
-                 tc: TurboChannel, bus_slice_us: float = 1.0):
+                 tc: TurboChannel):
         self.sim = sim
         self.machine = machine
         self.tc = tc
-        # CPU memory traffic is made of individual transactions; it
-        # interleaves with DMA at transaction granularity rather than
-        # monopolizing the bus for a whole software phase (otherwise
-        # long software phases would overflow the board's cell FIFO).
-        self.bus_slice_us = bus_slice_us
 
     def cpu_memory_time(self, duration: float) -> Generator[Any, Any, None]:
         """CPU spends ``duration`` on memory traffic.
@@ -107,7 +108,7 @@ class MemorySystem:
             return
         remaining = duration
         while remaining > 0:
-            slice_us = min(self.bus_slice_us, remaining)
+            slice_us = min(BUS_SLICE_US, remaining)
             yield from self.tc.occupy(slice_us, PRIO_CPU)
             remaining -= slice_us
 

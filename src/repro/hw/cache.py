@@ -1,7 +1,7 @@
 """Host data cache model.
 
-A direct-mapped cache that (optionally) keeps real line contents so
-that reads after a non-coherent DMA return genuinely stale bytes.  The
+A direct-mapped cache that keeps real line contents so that reads
+after a non-coherent DMA return genuinely stale bytes.  The
 lazy-invalidation experiment of section 2.3 depends on this: a UDP
 checksum computed over a stale read must actually fail, triggering the
 invalidate-and-retry path.
@@ -14,9 +14,7 @@ words does an invalidation touch.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..sim import Fidelity, SimulationError
+from ..sim import SimulationError
 from .memory import PhysicalMemory
 from .specs import CacheSpec
 
@@ -24,13 +22,11 @@ from .specs import CacheSpec
 class DataCache:
     """Direct-mapped data cache over :class:`PhysicalMemory`."""
 
-    def __init__(self, spec: CacheSpec, memory: PhysicalMemory,
-                 fidelity: Optional[Fidelity] = None):
+    def __init__(self, spec: CacheSpec, memory: PhysicalMemory):
         if spec.size_bytes % spec.line_bytes != 0:
             raise SimulationError("cache size must be a multiple of line size")
         self.spec = spec
         self.memory = memory
-        self.fidelity = fidelity or Fidelity.full()
         self.n_lines = spec.size_bytes // spec.line_bytes
         # index -> (tag, line bytes)
         self._lines: dict[int, tuple[int, bytes]] = {}
@@ -46,16 +42,10 @@ class DataCache:
         offset = addr % line
         return index, tag, offset
 
-    @property
-    def enabled(self) -> bool:
-        return self.fidelity.track_cache_lines
-
     # -- CPU side ----------------------------------------------------------
 
     def read(self, addr: int, nbytes: int) -> bytes:
         """CPU load: returns possibly stale bytes, filling on miss."""
-        if not self.enabled:
-            return self.memory.read(addr, nbytes)
         if nbytes <= 0:
             return b""
         line = self.spec.line_bytes
@@ -92,8 +82,6 @@ class DataCache:
     def write(self, addr: int, data: bytes) -> None:
         """CPU store: write-through (memory and cache both updated)."""
         self.memory.write(addr, data)
-        if not self.enabled:
-            return
         self._merge(addr, data, fill_missing=True)
 
     # -- DMA side ----------------------------------------------------------
@@ -106,8 +94,6 @@ class DataCache:
         the stale-data hazard of section 2.3.
         """
         self.memory.write(addr, data)
-        if not self.enabled:
-            return
         if self.spec.coherent_with_dma:
             self._merge(addr, data, fill_missing=False)
 
@@ -142,15 +128,14 @@ class DataCache:
         """
         words = -(-nbytes // 4)
         self.invalidated_words += words
-        if self.enabled:
-            line = self.spec.line_bytes
-            n_lines = self.n_lines
-            lines = self._lines
-            for number in range(addr // line, -(-(addr + nbytes) // line)):
-                index = number % n_lines
-                cached = lines.get(index)
-                if cached is not None and cached[0] == number // n_lines:
-                    del lines[index]
+        line = self.spec.line_bytes
+        n_lines = self.n_lines
+        lines = self._lines
+        for number in range(addr // line, -(-(addr + nbytes) // line)):
+            index = number % n_lines
+            cached = lines.get(index)
+            if cached is not None and cached[0] == number // n_lines:
+                del lines[index]
         return words
 
     def invalidate_all(self) -> None:

@@ -11,9 +11,10 @@ the transfer-length discipline of section 2.5:
 * ``ARBITRARY`` -- the "ideal" controller the paper deemed too complex
   for the available programmable logic; kept for ablations.
 
-Independently, the page-boundary modification (section 2.5.2) makes a
-transaction stop early at a page boundary, so a partially filled cell
-at the end of one buffer can be completed from the start of the next.
+In every mode a transaction also stops early at a page boundary (the
+modification of section 2.5.2, which both engines always have), so a
+partially filled cell at the end of one buffer can be completed from
+the start of the next, and no transaction ever spans two pages.
 :meth:`DmaController.max_burst` exposes exactly that rule to the
 on-board processors.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Generator, Optional
 
-from ..sim import Fidelity, Resource, SimulationError, Simulator
+from ..sim import Resource, SimulationError, Simulator
 from .bus import TurboChannel
 from .cache import DataCache
 from .memory import PhysicalMemory
@@ -55,9 +56,7 @@ class DmaController:
     def __init__(self, sim: Simulator, tc: TurboChannel,
                  memory: PhysicalMemory, cache: Optional[DataCache],
                  mode: DmaMode = DmaMode.SINGLE_CELL,
-                 page_boundary_stop: bool = True,
                  page_size: int = 4096,
-                 fidelity: Optional[Fidelity] = None,
                  sgmap=None):
         self.sim = sim
         self.tc = tc
@@ -67,9 +66,7 @@ class DmaController:
         # The mode's transaction length cap (None: no cap), fixed with
         # the mode at construction.
         self.max_bytes = mode.max_bytes
-        self.page_boundary_stop = page_boundary_stop
         self.page_size = page_size
-        self.fidelity = fidelity or Fidelity.full()
         # Optional scatter/gather map (section 2.2): addresses above
         # its IO_BASE are translated per transaction.
         self.sgmap = sgmap
@@ -84,8 +81,8 @@ class DmaController:
     def max_burst(self, addr: int, wanted: int) -> int:
         """Longest legal transaction starting at ``addr``.
 
-        Applies the mode's length cap and, when enabled, the
-        stop-at-page-boundary rule of section 2.5.2.
+        Applies the mode's length cap and the stop-at-page-boundary
+        rule of section 2.5.2.
         """
         if wanted <= 0:
             raise SimulationError("DMA burst must move at least one byte")
@@ -93,10 +90,9 @@ class DmaController:
         cap = self.max_bytes
         if cap is not None and cap < allowed:
             allowed = cap
-        if self.page_boundary_stop:
-            to_boundary = self.page_size - (addr % self.page_size)
-            if to_boundary < allowed:
-                allowed = to_boundary
+        to_boundary = self.page_size - (addr % self.page_size)
+        if to_boundary < allowed:
+            allowed = to_boundary
         return allowed
 
     def _check(self, nbytes: int, addr: int) -> None:
@@ -104,20 +100,14 @@ class DmaController:
         if cap is not None and nbytes > cap:
             raise SimulationError(
                 f"{self.mode.value} DMA cannot move {nbytes} bytes")
-        if self.page_boundary_stop:
-            to_boundary = self.page_size - (addr % self.page_size)
-            if nbytes > to_boundary:
-                raise SimulationError(
-                    f"DMA would cross a page boundary at {addr:#x}")
+        if nbytes > self.page_size - (addr % self.page_size):
+            raise SimulationError(
+                f"DMA would cross a page boundary at {addr:#x}")
 
-    def write_host(self, addr: int,
-                   data: Optional[bytes] = None,
-                   nbytes: Optional[int] = None
+    def write_host(self, addr: int, data: bytes
                    ) -> Generator[Any, Any, None]:
         """Receive direction: move cell payload into host memory."""
-        if data is None and nbytes is None:
-            raise SimulationError("write_host needs data or nbytes")
-        length = len(data) if data is not None else int(nbytes)
+        length = len(data)
         self._check(length, addr)
         self.transactions += 1
         self.bytes_moved += length
@@ -128,11 +118,10 @@ class DmaController:
             yield from self.tc.dma_write(length)
         finally:
             engine.release()
-        if self.fidelity.copy_data and data is not None:
-            if self.cache is not None:
-                self.cache.dma_write(addr, data)
-            else:
-                self.memory.write(addr, data)
+        if self.cache is not None:
+            self.cache.dma_write(addr, data)
+        else:
+            self.memory.write(addr, data)
 
     def read_host(self, addr: int, nbytes: int
                   ) -> Generator[Any, Any, bytes]:
@@ -147,14 +136,11 @@ class DmaController:
             yield from self.tc.dma_read(nbytes)
         finally:
             engine.release()
-        if self.fidelity.copy_data:
-            if self.sgmap is not None and self.sgmap.covers(addr):
-                # Bursts never cross a page, so one translation covers
-                # the whole transaction.
-                return self.memory.read(self.sgmap.translate(addr),
-                                        nbytes)
-            return self.memory.read(addr, nbytes)
-        return b"\x00" * nbytes
+        if self.sgmap is not None and self.sgmap.covers(addr):
+            # Bursts never cross a page, so one translation covers the
+            # whole transaction.
+            return self.memory.read(self.sgmap.translate(addr), nbytes)
+        return self.memory.read(addr, nbytes)
 
 
 __all__ = ["DmaController", "DmaMode"]

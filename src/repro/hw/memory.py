@@ -1,12 +1,12 @@
 """Physical main memory and the board's dual-port memory.
 
-Main memory is byte-accurate when data fidelity is on.  It lives in a
-private anonymous mapping, so it reads as zeros and a host pays
-resident memory only for the pages a run writes.  The page-frame
-allocator deliberately hands out frames in a scrambled order:
-contiguous virtual pages therefore map to non-contiguous physical
-frames, which is exactly the buffer-fragmentation problem of section
-2.2 of the paper.
+Main memory is byte-accurate: every run moves real bytes through it.
+It lives in a private anonymous mapping, so it reads as zeros and a
+host pays resident memory only for the pages a run writes.  The
+page-frame allocator deliberately hands out frames in a scrambled
+order: contiguous virtual pages therefore map to non-contiguous
+physical frames, which is exactly the buffer-fragmentation problem of
+section 2.2 of the paper.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ import mmap
 import random
 from typing import Optional
 
-from ..sim import Fidelity, SimulationError
+from ..sim import SimulationError
+
+# Seeds the scrambled free-frame order; every geometry shuffles with it.
+SCRAMBLE_SEED = 0x05171994
 
 
 class OutOfMemory(SimulationError):
@@ -24,11 +27,11 @@ class OutOfMemory(SimulationError):
 
 
 @functools.lru_cache(maxsize=8)        # a handful of geometries exist
-def _scrambled_frames(first_frame: int, frame_count: int,
-                      seed: int) -> tuple[int, ...]:
+def _scrambled_frames(first_frame: int,
+                      frame_count: int) -> tuple[int, ...]:
     """The free-frame order of one memory geometry, shuffled once."""
     frames = list(range(first_frame, frame_count))
-    random.Random(seed).shuffle(frames)
+    random.Random(SCRAMBLE_SEED).shuffle(frames)
     return tuple(frames)
 
 
@@ -56,9 +59,7 @@ class PhysicalMemory:
     """
 
     def __init__(self, size_bytes: int, page_size: int,
-                 fidelity: Optional[Fidelity] = None,
-                 reserved_bytes: int = 4 * 1024 * 1024,
-                 scramble_seed: int = 0x05171994):
+                 reserved_bytes: int = 4 * 1024 * 1024):
         if size_bytes % page_size != 0:
             raise SimulationError("memory size must be page aligned")
         if reserved_bytes % page_size != 0:
@@ -67,15 +68,13 @@ class PhysicalMemory:
             raise SimulationError("reserved region exceeds memory")
         self.size_bytes = size_bytes
         self.page_size = page_size
-        self.fidelity = fidelity or Fidelity.full()
-        self._data = _zeroed(size_bytes) if self.fidelity.copy_data else None
+        self._data = _zeroed(size_bytes)
 
         self.reserved_bytes = reserved_bytes
         self._reserved_next = 0
 
         self._free_frames = list(_scrambled_frames(
-            reserved_bytes // page_size, size_bytes // page_size,
-            scramble_seed))
+            reserved_bytes // page_size, size_bytes // page_size))
         self._allocated: set[int] = set()
 
     # -- page-frame allocation -------------------------------------------
@@ -143,14 +142,10 @@ class PhysicalMemory:
 
     def read(self, addr: int, nbytes: int) -> bytes:
         self._check_range(addr, nbytes)
-        if self._data is None:
-            return b"\x00" * nbytes
         return self._data[addr:addr + nbytes]
 
     def write(self, addr: int, data: bytes) -> None:
         self._check_range(addr, len(data))
-        if self._data is None:
-            return
         self._data[addr:addr + len(data)] = data
 
     def _check_range(self, addr: int, nbytes: int) -> None:

@@ -23,7 +23,7 @@ from ..hw.specs import BoardSpec, MachineSpec
 from ..osiris.board import OsirisBoard
 from ..osiris.rx_processor import RxProcessor
 from ..osiris.tx_processor import TxProcessor
-from ..sim import Fidelity, SimulationError, Simulator
+from ..sim import SimulationError, Simulator
 from ..xkernel.protocol import Path
 from ..xkernel.protocols.ip import IpProtocol, IpSession
 from ..xkernel.protocols.testproto import TestProgram, TestProtocol
@@ -36,7 +36,6 @@ class Host:
     def __init__(self, sim: Simulator, machine: MachineSpec,
                  name: str = "host",
                  config: Optional[DriverConfig] = None,
-                 fidelity: Optional[Fidelity] = None,
                  board_spec: Optional[BoardSpec] = None,
                  ip_mtu: Optional[int] = None,
                  udp_checksum: bool = False,
@@ -45,13 +44,11 @@ class Host:
         self.sim = sim
         self.machine = machine
         self.name = name
-        self.fidelity = fidelity or Fidelity.full()
         self.config = config or DriverConfig.for_machine(machine)
 
         self.memory = PhysicalMemory(memory_bytes, machine.page_size,
-                                     fidelity=self.fidelity,
                                      reserved_bytes=reserved_bytes)
-        self.cache = DataCache(machine.cache, self.memory, self.fidelity)
+        self.cache = DataCache(machine.cache, self.memory)
         self.tc = TurboChannel(sim, machine.bus, name=f"{name}.tc")
         self.memsys = MemorySystem(sim, machine, self.tc)
         self.cpu = HostCPU(sim, machine, self.memsys)
@@ -59,7 +56,6 @@ class Host:
                              wiring_style=self.config.wiring_style)
         self.board = OsirisBoard(sim, machine, self.tc, self.memory,
                                  self.cache, spec=board_spec,
-                                 fidelity=self.fidelity,
                                  tx_dma_mode=self.config.tx_dma_mode,
                                  rx_dma_mode=self.config.rx_dma_mode)
         self.driver = OsirisDriver(sim, self.kernel, self.board,

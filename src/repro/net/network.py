@@ -17,7 +17,6 @@ from ..atm.aal5 import SegmentMode
 from ..atm.striping import SkewModel
 from ..cluster.fabric import Fabric
 from ..hw.specs import MachineSpec
-from ..sim import Fidelity
 
 
 class BackToBack(Fabric):
@@ -28,15 +27,13 @@ class BackToBack(Fabric):
                  skew: Optional[SkewModel] = None,
                  segment_mode: SegmentMode = SegmentMode.IN_ORDER,
                  prop_delay_us: float = 2.0,
-                 fidelity: Optional[Fidelity] = None,
                  **host_kw):
         # The reverse link gets a cloned skew model (seed offset 1) so
         # the two directions' per-link RNG streams stay independent.
         super().__init__([machine_a, machine_b or machine_a],
                          topology="direct", skew=skew,
                          segment_mode=segment_mode,
-                         prop_delay_us=prop_delay_us,
-                         fidelity=fidelity, names=("a", "b"),
+                         prop_delay_us=prop_delay_us, names=("a", "b"),
                          **host_kw)
         self.a, self.b = self.hosts
         self.link_ab, self.link_ba = self.uplinks

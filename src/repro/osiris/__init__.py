@@ -7,9 +7,7 @@ from .descriptors import (
 from .interrupts import InterruptKind, InterruptLine
 from .locks import SpinLock
 from .queues import AccessCounter, DescriptorQueue, queue_region_bytes
-from .rx_processor import (
-    FictitiousPduSource, FramedPduSource, InterruptMode, RxProcessor,
-)
+from .rx_processor import FramedPduSource, InterruptMode, RxProcessor
 from .tx_processor import TxProcessor
 
 __all__ = [
@@ -17,6 +15,5 @@ __all__ = [
     "Descriptor", "FLAG_END_OF_PDU", "FLAG_ERROR", "WORDS_PER_DESCRIPTOR",
     "DescriptorQueue", "AccessCounter", "queue_region_bytes",
     "InterruptKind", "InterruptLine", "SpinLock",
-    "TxProcessor", "RxProcessor", "InterruptMode", "FictitiousPduSource",
-    "FramedPduSource",
+    "TxProcessor", "RxProcessor", "InterruptMode", "FramedPduSource",
 ]

@@ -23,7 +23,7 @@ from ..hw.cache import DataCache
 from ..hw.dma import DmaController, DmaMode
 from ..hw.memory import DualPortMemory, PhysicalMemory, TestAndSetRegister
 from ..hw.specs import BoardSpec, MachineSpec
-from ..sim import Fidelity, SimulationError, Simulator, Store
+from ..sim import SimulationError, Simulator, Store
 from .descriptors import Descriptor
 from .interrupts import InterruptKind, InterruptLine
 from .queues import DescriptorQueue
@@ -91,13 +91,11 @@ class OsirisBoard:
                  tc: TurboChannel, memory: PhysicalMemory,
                  cache: Optional[DataCache],
                  spec: Optional[BoardSpec] = None,
-                 fidelity: Optional[Fidelity] = None,
                  tx_dma_mode: DmaMode = DmaMode.SINGLE_CELL,
                  rx_dma_mode: DmaMode = DmaMode.SINGLE_CELL):
         self.sim = sim
         self.machine = machine
         self.spec = spec or BoardSpec()
-        self.fidelity = fidelity or Fidelity.full()
         self.tc = tc
         self.memory = memory
         self.dualport = DualPortMemory(self.spec.dualport_bytes)
@@ -105,14 +103,10 @@ class OsirisBoard:
         self.tx_lock = TestAndSetRegister()
         self.rx_lock = TestAndSetRegister()
 
-        self.tx_dma = DmaController(
-            sim, tc, memory, cache, mode=tx_dma_mode,
-            page_boundary_stop=True, page_size=machine.page_size,
-            fidelity=self.fidelity)
-        self.rx_dma = DmaController(
-            sim, tc, memory, cache, mode=rx_dma_mode,
-            page_boundary_stop=True, page_size=machine.page_size,
-            fidelity=self.fidelity)
+        self.tx_dma = DmaController(sim, tc, memory, cache, mode=tx_dma_mode,
+                                    page_size=machine.page_size)
+        self.rx_dma = DmaController(sim, tc, memory, cache, mode=rx_dma_mode,
+                                    page_size=machine.page_size)
 
         self.channels: list[Channel] = []
         entries = self.spec.queue_entries

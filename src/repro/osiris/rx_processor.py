@@ -18,8 +18,9 @@ section 1).  This module implements that loop with:
   receive-queue empty->non-empty transition, or the traditional
   one-per-PDU as a baseline.
 
-Skew-tolerant modes require full data fidelity and assume PDUs on one
-VCI do not overlap by more than the stripe reorder window (the pure
+Every cell carries its real payload, and every mode reassembles and
+CRC-checks real bytes.  The skew-tolerant modes assume PDUs on one VCI
+do not overlap by more than the stripe reorder window (the pure
 algorithms in :mod:`repro.atm.sar` handle unrestricted pipelining and
 are property-tested separately).
 """
@@ -38,12 +39,20 @@ from ..atm.sar import (
     SkewOverflow,
 )
 from ..hw.dma import DmaMode
-from ..hw.specs import AAL_PAYLOAD_BYTES
+from ..hw.specs import AAL_PAYLOAD_BYTES, STRIPE_LINKS
 from ..sim import (
     Delay, Process, SimulationError, Simulator, Store, spawn,
 )
 from .board import Channel, OsirisBoard
 from .descriptors import Descriptor, FLAG_END_OF_PDU, FLAG_ERROR
+
+# How long the firmware holds for the next cell's header when the FIFO
+# is empty, hoping to combine two payloads into one DMA (section
+# 2.5.1): less than a separate DMA's overhead.
+COMBINE_WAIT_US = 0.75
+# The striped link's aggregate cell rate: one cell per 0.682 us is
+# 516 Mbps of payload (section 4's fictitious-PDU generator).
+CELL_PACE_US = 0.682
 
 
 class InterruptMode(enum.Enum):
@@ -59,18 +68,6 @@ class _Bucket:
     filled: int = 0
 
 
-class _CountDetector:
-    """Timing-only in-order completion: count cells until the framing
-    bit, no payload reconstruction."""
-
-    def __init__(self) -> None:
-        self.cells = 0
-
-    def push(self, cell: Cell) -> Optional[bool]:
-        self.cells += 1
-        return cell.eom
-
-
 @dataclass(slots=True)
 class _VciState:
     channel: Channel
@@ -80,7 +77,8 @@ class _VciState:
     offset: int = 0
     cells_in_pdu: int = 0
     base_seq: int = 0
-    link_counts: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
+    link_counts: list[int] = field(
+        default_factory=lambda: [0] * STRIPE_LINKS)
     buckets: dict[int, _Bucket] = field(default_factory=dict)
     max_offset_seen: int = 0
     last_dma: Optional[Process] = None
@@ -103,19 +101,12 @@ class RxProcessor:
                  reassembly_mode: SegmentMode = SegmentMode.IN_ORDER,
                  interrupt_mode: InterruptMode = InterruptMode.COALESCED,
                  flow_controlled: bool = False,
-                 stripe_width: int = 4,
-                 combine_wait_us: float = 0.75,
                  loss_resync_cells: Optional[int] = 32):
-        if (reassembly_mode is not SegmentMode.IN_ORDER
-                and not board.fidelity.copy_data):
-            raise SimulationError(
-                "skew-tolerant reassembly requires data fidelity")
         self.sim = sim
         self.board = board
         self.reassembly_mode = reassembly_mode
         self.interrupt_mode = interrupt_mode
         self.flow_controlled = flow_controlled
-        self.stripe_width = stripe_width
         # SEQUENCE mode: declare a destroyed cell after this many later
         # arrivals instead of wedging until the skew window overflows
         # (which a short flow may never do).  None restores the wedge.
@@ -143,7 +134,7 @@ class RxProcessor:
         # Firmware costs, built once and yielded for every cell / PDU.
         self._cell_time = Delay(board.spec.rx_cell_us)
         self._pdu_time = Delay(board.spec.rx_pdu_overhead_us)
-        self._combine_wait = Delay(combine_wait_us)
+        self._combine_wait = Delay(COMBINE_WAIT_US)
         self.process = spawn(sim, self._run(), "rx-processor")
 
     # -- main loop ----------------------------------------------------------
@@ -195,10 +186,8 @@ class RxProcessor:
             return SequenceNumberReassembler(
                 vci, loss_resync_cells=self.loss_resync_cells)
         if self.reassembly_mode is SegmentMode.CONCURRENT:
-            return ConcurrentReassembler(vci, self.stripe_width)
-        if self.board.fidelity.copy_data:
-            return Reassembler(vci)
-        return _CountDetector()
+            return ConcurrentReassembler(vci, STRIPE_LINKS)
+        return Reassembler(vci)
 
     def _cell_offset(self, state: _VciState, cell: Cell) -> int:
         mode = self.reassembly_mode
@@ -209,7 +198,7 @@ class RxProcessor:
                 raise SimulationError("sequence mode needs numbered cells")
             return (cell.seq - state.base_seq) * AAL_PAYLOAD_BYTES
         m = state.link_counts[cell.link_id]
-        return (m * self.stripe_width + cell.link_id) * AAL_PAYLOAD_BYTES
+        return (m * STRIPE_LINKS + cell.link_id) * AAL_PAYLOAD_BYTES
 
     def _plan(self, cell: Cell) -> Generator[Any, Any, Optional[_Placement]]:
         """Demux, compute placement, secure a buffer, update counters."""
@@ -335,17 +324,15 @@ class RxProcessor:
                      second: Optional[_Placement]
                      ) -> Generator[Any, Any, None]:
         """The DMA moving one placed cell, or two combined ones."""
-        copy = self.board.fidelity.copy_data
         if second is not None:
             self.combined_dmas += 1
-            data = (first.cell.payload + second.cell.payload
-                    if copy else None)
-            return self._dma(first.addr, data, 2 * AAL_PAYLOAD_BYTES)
+            return self._dma(first.addr,
+                             first.cell.payload + second.cell.payload,
+                             2 * AAL_PAYLOAD_BYTES)
         self.single_dmas += 1
-        data = first.cell.payload if copy else None
-        return self._dma(first.addr, data, AAL_PAYLOAD_BYTES)
+        return self._dma(first.addr, first.cell.payload, AAL_PAYLOAD_BYTES)
 
-    def _dma(self, addr: int, data: Optional[bytes], nbytes: int
+    def _dma(self, addr: int, data: bytes, nbytes: int
              ) -> Generator[Any, Any, None]:
         """One DMA command, run as a process of its own."""
         dma = self.board.rx_dma
@@ -357,9 +344,7 @@ class RxProcessor:
         offset = 0
         while left > 0:
             burst = dma.max_burst(pos, left)
-            chunk = (data[offset:offset + burst]
-                     if data is not None else None)
-            yield from dma.write_host(pos, data=chunk, nbytes=burst)
+            yield from dma.write_host(pos, data[offset:offset + burst])
             pos += burst
             offset += burst
             left -= burst
@@ -411,15 +396,14 @@ class RxProcessor:
         return None
 
     def _completed(self, result: Any) -> bool:
-        if result is None or result is False:
+        """In-order reassembly returns the decoded PDU (``b""`` for an
+        empty one) or None; the skew-tolerant modes return the list of
+        PDUs the cell completed."""
+        if result is None:
             return False
-        if result is True:
-            return True
-        if isinstance(result, bytes):
-            return True
         if isinstance(result, list):
             return len(result) > 0
-        return False
+        return True
 
     def _deliver_filled_buckets(self, state: _VciState, ready: list[int]
                                 ) -> Generator[Any, Any, None]:
@@ -489,47 +473,44 @@ class RxProcessor:
         state.cells_in_pdu = 0
         state.max_offset_seen = 0
         state.buckets.clear()
-        state.link_counts = [0] * self.stripe_width
+        state.link_counts = [0] * STRIPE_LINKS
         if self.reassembly_mode is SegmentMode.SEQUENCE:
             reasm: SequenceNumberReassembler = state.detector
             state.base_seq = reasm.next_seq
 
 
 class FramedPduSource:
-    """Fictitious-PDU generator fed with explicit PDU contents.
+    """The receive-side isolation workload of section 4.
 
-    Used by the figure 2/3 harness: the PDUs are the IP fragments a
+    'The receiver processor of the OSIRIS board was programmed to
+    generate fictitious PDUs as fast as the receiving host could
+    absorb them.'  Cells are synthesized at the striped link's
+    aggregate cell rate (:data:`CELL_PACE_US`) and pushed through the
+    normal receive FIFO; the bounded FIFO provides the absorb-rate flow
+    control.  The figure 2/3 harness feeds it the IP fragments a
     sending host's stack would have produced (UDP/IP headers included),
     so the receiving host runs its full protocol path.  The list is
-    replayed ``repeat`` times at link cell pace.
+    replayed ``repeat`` times.
     """
 
     def __init__(self, sim: Simulator, board: OsirisBoard, vci: int,
-                 pdus: list[bytes], repeat: int,
-                 cell_pace_us: float = 0.682):
+                 pdus: list[bytes], repeat: int):
         self.sim = sim
         self.board = board
         self.vci = vci
         self.repeat = repeat
-        self.cell_pace_us = cell_pace_us
         self.rounds_generated = 0
-        if board.fidelity.copy_data:
-            self._framed = [encode_pdu(p) for p in pdus]
-        else:
-            from ..atm.aal5 import framed_size
-            self._framed = [b"\x00" * framed_size(len(p)) for p in pdus]
+        self._framed = [encode_pdu(p) for p in pdus]
         self.process = spawn(sim, self._run(), "framed-source")
 
     def _run(self) -> Generator[Any, Any, None]:
-        copy = self.board.fidelity.copy_data
-        pace = Delay(self.cell_pace_us)
+        pace = Delay(CELL_PACE_US)
         for _ in range(self.repeat):
             for framed in self._framed:
                 n = len(framed) // AAL_PAYLOAD_BYTES
                 for i in range(n):
-                    payload = (framed[i * AAL_PAYLOAD_BYTES:
-                                      (i + 1) * AAL_PAYLOAD_BYTES]
-                               if copy else b"")
+                    payload = framed[i * AAL_PAYLOAD_BYTES:
+                                     (i + 1) * AAL_PAYLOAD_BYTES]
                     cell = Cell(vci=self.vci, payload=payload,
                                 eom=(i == n - 1), tx_index=i)
                     yield pace
@@ -537,58 +518,4 @@ class FramedPduSource:
             self.rounds_generated += 1
 
 
-class FictitiousPduSource:
-    """The receive-side isolation workload of section 4.
-
-    'The receiver processor of the OSIRIS board was programmed to
-    generate fictitious PDUs as fast as the receiving host could
-    absorb them.'  Cells are synthesized at the striped link's
-    aggregate cell rate (0.682 us per cell -> 516 Mbps of payload) and
-    pushed through the normal receive FIFO; the bounded FIFO provides
-    the absorb-rate flow control.
-    """
-
-    def __init__(self, sim: Simulator, board: OsirisBoard, vci: int,
-                 pdu_bytes: int, pdu_count: int,
-                 cell_pace_us: float = 0.682):
-        self.sim = sim
-        self.board = board
-        self.vci = vci
-        self.pdu_bytes = pdu_bytes
-        self.pdu_count = pdu_count
-        self.cell_pace_us = cell_pace_us
-        self.pdus_generated = 0
-        if board.fidelity.copy_data:
-            pattern = (b"OSIRIS!" * (pdu_bytes // 7 + 1))[:pdu_bytes]
-            self._framed = encode_pdu(pattern)
-        else:
-            from ..atm.aal5 import framed_size
-            self._framed = None
-            self._framed_len = framed_size(pdu_bytes)
-        self.process = spawn(sim, self._run(), "fictitious-source")
-
-    def _cells(self):
-        if self._framed is not None:
-            n = len(self._framed) // AAL_PAYLOAD_BYTES
-        else:
-            n = self._framed_len // AAL_PAYLOAD_BYTES
-        for i in range(n):
-            if self._framed is not None:
-                payload = self._framed[i * AAL_PAYLOAD_BYTES:
-                                       (i + 1) * AAL_PAYLOAD_BYTES]
-            else:
-                payload = b""
-            yield Cell(vci=self.vci, payload=payload, eom=(i == n - 1),
-                       tx_index=i)
-
-    def _run(self) -> Generator[Any, Any, None]:
-        pace = Delay(self.cell_pace_us)
-        for _ in range(self.pdu_count):
-            for cell in self._cells():
-                yield pace
-                yield self.board.rx_fifo.put(cell)
-            self.pdus_generated += 1
-
-
-__all__ = ["RxProcessor", "InterruptMode", "FictitiousPduSource",
-           "FramedPduSource"]
+__all__ = ["RxProcessor", "InterruptMode", "FramedPduSource"]

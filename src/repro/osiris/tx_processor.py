@@ -22,9 +22,12 @@ Two multiplexing disciplines (section 2.5.1):
   transmit one cell from each in turn'), the fine-grained multiplexing
   that favors latency and switch behaviour.
 
-Data fidelity: the AAL5 framing (padding, CRC trailer) is computed by
-the cell generator hardware at no modelled cost; the timed part is the
-per-cell command issue plus every DMA transaction on the bus.
+Every cell carries the bytes its DMA bursts read from host memory, so
+the board samples a buffer when it moves it, as the hardware does.  The
+AAL5 framing (padding, CRC trailer) is computed by the cell generator
+hardware from the CRC it accumulates as the bursts stream past, at no
+modelled cost; the timed part is the per-cell command issue plus every
+DMA transaction on the bus.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from ..analysis.sanitize import maybe_actor
-from ..atm.aal5 import SegmentMode, cell_count, encode_pdu
+from ..atm.aal5 import SegmentMode, cell_count, pad_and_trailer
 from ..atm.cell import Cell
+from ..atm.crc import fast_crc32
 from ..atm.striping import StripedLink
 from ..hw.specs import AAL_PAYLOAD_BYTES
 from ..sim import Delay, Signal, Simulator, spawn
@@ -59,11 +63,6 @@ class _PduTransmission:
         self.vci = descs[0].vci
         self.total_len = sum(d.length for d in descs)
         self.n_cells = cell_count(self.total_len)
-        self.framed: Optional[bytes] = None
-        if txp.board.fidelity.copy_data:
-            data = b"".join(
-                self._read_buffer(d.addr, d.length) for d in descs)
-            self.framed = encode_pdu(data)
         self.seq_base = txp._seq_counters.get(self.vci, 0)
         if txp.segment_mode is SegmentMode.SEQUENCE:
             txp._seq_counters[self.vci] = self.seq_base + self.n_cells
@@ -72,24 +71,11 @@ class _PduTransmission:
         self._desc_index = 0
         self._buf_offset = 0
         self._data_left = self.total_len
-
-    def _read_buffer(self, addr: int, length: int) -> bytes:
-        """Descriptor contents, translating I/O-virtual addresses
-        through the scatter/gather map page by page."""
-        memory = self.txp.board.memory
-        sgmap = self.txp.board.tx_dma.sgmap
-        if sgmap is None or not sgmap.covers(addr):
-            return memory.read(addr, length)
-        out = bytearray()
-        pos = addr
-        left = length
-        page = sgmap.page_size
-        while left > 0:
-            take = min(page - (pos % page), left)
-            out += memory.read(sgmap.translate(pos), take)
-            pos += take
-            left -= take
-        return bytes(out)
+        self._crc = 0
+        # Framed bytes read but not yet sent: at most part of a cell
+        # between bursts, plus the pad and trailer once the data is in
+        # (at once for an empty PDU, which no burst reads).
+        self._unsent = b"" if self.total_len else pad_and_trailer(0, 0)
 
     @property
     def done(self) -> bool:
@@ -121,10 +107,17 @@ class _PduTransmission:
             room = cap - self._acc
             want = min(self._data_left, buf_left, room)
             burst = dma.max_burst(addr, want)
-            yield from dma.read_host(addr, burst)
+            data = yield from dma.read_host(addr, burst)
             self._buf_offset += burst
             self._data_left -= burst
             self._acc += burst
+            self._crc = fast_crc32(data, self._crc)
+            if not self._data_left:
+                data += pad_and_trailer(self.total_len, self._crc)
+            if self._unsent:
+                # The part of a cell the last burst began goes first.
+                data = self._unsent + data
+            self._unsent = data
             if self._buf_offset == desc.length:
                 # Buffer fully read: NOW advance the tail pointer --
                 # the host's transmission-complete signal.
@@ -155,11 +148,10 @@ class _PduTransmission:
         txp = self.txp
         index = self.emitted
         n_cells = self.n_cells
-        if self.framed is not None:
-            payload = self.framed[index * AAL_PAYLOAD_BYTES:
-                                  (index + 1) * AAL_PAYLOAD_BYTES]
-        else:
-            payload = b""
+        unsent = self._unsent
+        # A one-cell burst is sent as it was read, without a copy.
+        payload = unsent[:AAL_PAYLOAD_BYTES]
+        self._unsent = unsent[AAL_PAYLOAD_BYTES:]
         mode = txp.segment_mode
         if mode is SegmentMode.CONCURRENT:
             stripe = txp.link.n_links if txp.link else 4

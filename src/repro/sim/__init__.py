@@ -1,7 +1,6 @@
 """Discrete-event simulation kernel used by every model in the library."""
 
 from .core import NO_KEY, SimulationError, Simulator, Timer
-from .fidelity import Fidelity
 from .parallel import BACKENDS, ParallelRunResult, run_shards
 from .process import (
     Delay, Interrupted, Latch, Process, Signal, all_of, spawn,
@@ -20,5 +19,4 @@ __all__ = [
     "Resource", "Grant", "Store", "CellTrain",
     "Counter", "Series", "Throughput", "mbps_from_bytes",
     "Tracer", "TraceRecord", "attach_board_tracer", "attach_driver_tracer",
-    "Fidelity",
 ]

@@ -8,7 +8,7 @@ from repro.hw import (
 )
 from repro.hw.dma import DmaMode
 from repro.osiris import OsirisBoard
-from repro.sim import Fidelity, Simulator
+from repro.sim import Simulator
 
 
 def pytest_addoption(parser):
@@ -28,23 +28,21 @@ def pytest_configure(config):
 class BoardRig:
     """A simulator + host memory + one OSIRIS board, no OS."""
 
-    def __init__(self, machine=DS5000_200, fidelity=None,
+    def __init__(self, machine=DS5000_200,
                  tx_dma_mode=DmaMode.SINGLE_CELL,
                  rx_dma_mode=DmaMode.SINGLE_CELL,
                  memory_bytes=8 * 1024 * 1024):
         self.machine = machine
-        self.fidelity = fidelity or Fidelity.full()
         self.sim = Simulator()
         self.memory = PhysicalMemory(
-            memory_bytes, machine.page_size, fidelity=self.fidelity,
+            memory_bytes, machine.page_size,
             reserved_bytes=4 * 1024 * 1024)
-        self.cache = DataCache(machine.cache, self.memory, self.fidelity)
+        self.cache = DataCache(machine.cache, self.memory)
         self.tc = TurboChannel(self.sim, machine.bus)
         self.memsys = MemorySystem(self.sim, machine, self.tc)
         self.cpu = HostCPU(self.sim, machine, self.memsys)
         self.board = OsirisBoard(
             self.sim, machine, self.tc, self.memory, self.cache,
-            fidelity=self.fidelity,
             tx_dma_mode=tx_dma_mode, rx_dma_mode=rx_dma_mode)
 
     def feed_free_buffers(self, count, vci=0, channel_id=0):

@@ -6,7 +6,7 @@ from repro.hw import (
     DataCache, DmaController, DmaMode, DEC3000_600, DS5000_200,
     PhysicalMemory, TurboChannel,
 )
-from repro.sim import Fidelity, SimulationError, Simulator, spawn
+from repro.sim import SimulationError, Simulator, spawn
 
 
 def _mem():
@@ -163,16 +163,17 @@ def test_burst_crossing_page_boundary_rejected():
         sim.run()
 
 
-def test_arbitrary_mode_moves_any_length():
+def test_arbitrary_mode_moves_up_to_a_page():
     sim, mem, cache, dma = _dma_rig(DmaMode.ARBITRARY)
-    dma.page_boundary_stop = False
+    # No length cap, but the page-boundary stop still applies.
+    assert dma.max_burst(0x2000, 5120) == 4096
 
     def proc():
-        yield from dma.write_host(0x2000, bytes(range(256)) * 20)
+        yield from dma.write_host(0x2000, bytes(range(256)) * 16)
 
     spawn(sim, proc())
     sim.run()
-    assert mem.read(0x2000, 5120) == bytes(range(256)) * 20
+    assert mem.read(0x2000, 4096) == bytes(range(256)) * 16
 
 
 def test_read_host_returns_memory_contents():
@@ -202,20 +203,3 @@ def test_dma_write_respects_coherence_model():
     assert mem.read(0x2000, 44) == b"B" * 44
     assert cache.read(0x2000, 44) == b"A" * 44  # stale on the DS
 
-
-def test_timing_only_fidelity_skips_copies():
-    sim = Simulator()
-    mem = PhysicalMemory(size_bytes=1024 * 1024, page_size=4096,
-                         fidelity=Fidelity.timing_only(),
-                         reserved_bytes=64 * 1024)
-    tc = TurboChannel(sim, DS5000_200.bus)
-    dma = DmaController(sim, tc, mem, None, mode=DmaMode.SINGLE_CELL,
-                        fidelity=Fidelity.timing_only())
-
-    def proc():
-        yield from dma.write_host(0x2000, b"c" * 44)
-
-    spawn(sim, proc())
-    sim.run()
-    assert mem.read(0x2000, 4) == b"\x00\x00\x00\x00"
-    assert dma.bytes_moved == 44

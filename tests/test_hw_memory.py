@@ -10,7 +10,7 @@ from repro.hw import (
     DS5000_200, DualPortMemory, OutOfMemory, PhysicalMemory,
     TestAndSetRegister,
 )
-from repro.sim import Fidelity, SimulationError
+from repro.sim import SimulationError
 
 
 @pytest.fixture
@@ -151,16 +151,6 @@ def test_best_effort_contiguous_frames(mem):
     frames = {addr + i * mem.page_size for i in range(4)}
     more = {mem.alloc_frame() for _ in range(mem.free_frame_count)}
     assert not (frames & more)
-
-
-def test_timing_only_fidelity_skips_data(
-
-):
-    mem = PhysicalMemory(size_bytes=1024 * 1024, page_size=4096,
-                         fidelity=Fidelity.timing_only(),
-                         reserved_bytes=64 * 1024)
-    mem.write(0, b"data")
-    assert mem.read(0, 4) == b"\x00\x00\x00\x00"
 
 
 def test_dualport_word_roundtrip():

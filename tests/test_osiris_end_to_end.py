@@ -20,20 +20,17 @@ class _Pair:
             TurboChannel,
         )
         from repro.osiris import OsirisBoard
-        from repro.sim import Fidelity, Simulator
+        from repro.sim import Simulator
 
         self.sim = Simulator()
         self.rigs = []
         for side in range(2):
             machine = DS5000_200
-            fidelity = Fidelity.full()
             memory = PhysicalMemory(8 * 1024 * 1024, machine.page_size,
-                                    fidelity=fidelity,
                                     reserved_bytes=4 * 1024 * 1024)
-            cache = DataCache(machine.cache, memory, fidelity)
+            cache = DataCache(machine.cache, memory)
             tc = TurboChannel(self.sim, machine.bus, name=f"tc{side}")
             board = OsirisBoard(self.sim, machine, tc, memory, cache,
-                                fidelity=fidelity,
                                 rx_dma_mode=rx_dma_mode)
             self.rigs.append((memory, board))
         self.tx_memory, self.tx_board = self.rigs[0]

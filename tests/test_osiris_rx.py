@@ -3,7 +3,7 @@
 from repro.atm import SegmentMode, cell_count, decode_pdu, segment
 from repro.hw.dma import DmaMode
 from repro.osiris import (
-    FictitiousPduSource, InterruptKind, InterruptMode, RxProcessor,
+    FramedPduSource, InterruptKind, InterruptMode, RxProcessor,
 )
 from repro.sim import spawn
 
@@ -197,18 +197,22 @@ def test_concurrent_mode_with_lagging_link(rig):
     assert decode_pdu(framed[0]) == data
 
 
+def _pattern(nbytes):
+    return (b"OSIRIS!" * (nbytes // 7 + 1))[:nbytes]
+
+
 def test_fictitious_source_generates_valid_pdus(rig):
     rig.board.bind_vci(1, 0)
     rig.feed_free_buffers(16)
     rxp = RxProcessor(rig.sim, rig.board, flow_controlled=True)
-    src = FictitiousPduSource(rig.sim, rig.board, vci=1,
-                              pdu_bytes=2048, pdu_count=5)
+    src = FramedPduSource(rig.sim, rig.board, vci=1,
+                          pdus=[_pattern(2048)], repeat=5)
     rig.sim.run()
-    assert src.pdus_generated == 5
+    assert src.rounds_generated == 5
     framed = rig.reassemble_host_side(rig.drain_received())
     assert len(framed) == 5
     for f in framed:
-        assert len(decode_pdu(f)) == 2048
+        assert decode_pdu(f) == _pattern(2048)
 
 
 def test_flow_controlled_source_waits_for_buffers(rig):
@@ -218,8 +222,8 @@ def test_flow_controlled_source_waits_for_buffers(rig):
 
     rig.board.bind_vci(1, 0)
     rxp = RxProcessor(rig.sim, rig.board, flow_controlled=True)
-    src = FictitiousPduSource(rig.sim, rig.board, vci=1,
-                              pdu_bytes=512, pdu_count=2)
+    src = FramedPduSource(rig.sim, rig.board, vci=1,
+                          pdus=[_pattern(512)], repeat=2)
 
     def late_feeder():
         yield Delay(5000.0)
@@ -227,6 +231,7 @@ def test_flow_controlled_source_waits_for_buffers(rig):
 
     spawn(rig.sim, late_feeder(), "late")
     rig.sim.run()
+    assert src.rounds_generated == 2
     framed = rig.reassemble_host_side(rig.drain_received())
     assert len(framed) == 2
     assert rxp.cells_dropped_no_buffer == 0

@@ -160,16 +160,25 @@ def test_tx_space_interrupt_at_half_empty(rig):
     assert txp.pdus_sent == queued
 
 
-def test_timing_only_fidelity_still_counts(rig):
-    from repro.sim import Fidelity
-    rig2 = BoardRig(fidelity=Fidelity.timing_only())
+def test_cells_carry_the_bytes_each_dma_burst_read(rig):
+    """The board samples a buffer when its DMA moves it, as the
+    hardware does: bytes the host rewrites after the PDU's first cell
+    left, before their burst, are the bytes sent, and the AAL5 CRC
+    covers them."""
+    data = bytes(range(256)) * 8  # 2048 bytes, 47 cells
+    (desc,) = rig.queue_pdu(data, vci=5)
+    patch = b"rewritten" * 10
     cells = []
-    txp = TxProcessor(rig2.sim, rig2.board, deliver=cells.append)
-    rig2.queue_pdu(b"\x00" * 1000, vci=1)
-    rig2.sim.run()
-    assert len(cells) == cell_count(1000)
-    assert all(c.payload == b"" for c in cells)
-    assert rig2.board.tx_dma.bytes_moved == 1000
+
+    def deliver(cell):
+        if not cells:
+            rig.memory.write(desc.addr + 1000, patch)
+        cells.append(cell)
+
+    TxProcessor(rig.sim, rig.board, deliver=deliver)
+    rig.sim.run()
+    expected = data[:1000] + patch + data[1000 + len(patch):]
+    assert _reassemble(cells, 5) == [expected]
 
 
 def test_tx_timing_is_roughly_single_cell_rate(rig):
