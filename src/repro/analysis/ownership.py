@@ -51,9 +51,9 @@ Rule catalog (full rationale in DESIGN.md section 13):
     A cross-shard effector (``CellSwitch.input_cell``,
     ``CreditGate.refill`` ...) invoked directly by a concrete
     non-boundary actor.  Effects must travel as boundary messages
-    (``_emit_boundary`` -> ``repro.cluster.boundary`` codec ->
-    ``_apply_boundary``), or the sharded run diverges from ``--shards
-    1``.
+    (``_emit_boundary`` -> the shard mailboxes of
+    ``repro.sim.parallel`` -> ``_apply_boundary``), or the sharded run
+    diverges from ``--shards 1``.
 ``RACE203 order-op-in-fold``
     An order-sensitive operation (queue push/pop, signal fire, credit
     acquire/refill ...) reachable from a cell-train fused fold.  The
@@ -844,8 +844,8 @@ class OwnershipChecker:
                     f"actor '{actors[0]}' invokes "
                     f"{site.recv_class}.{site.name}() directly; "
                     f"cross-shard effects must travel as a boundary "
-                    f"message (_emit_boundary -> "
-                    f"repro.cluster.boundary -> _apply_boundary)")
+                    f"message (_emit_boundary -> shard mailbox -> "
+                    f"_apply_boundary)")
 
     def _check_folds(self) -> None:
         """RACE203: order-sensitive operation inside a fused fold."""

@@ -92,6 +92,11 @@ if TYPE_CHECKING:
 FIRST_FLOW_VCI = 0x1000
 LAST_FLOW_VCI = 0x3FFF
 
+# Fabric defaults that sharding reads too: the topology, and the link
+# propagation delay that is also the shards' conservative lookahead.
+DEFAULT_TOPOLOGY = "switched"
+DEFAULT_PROP_DELAY_US = 2.0
+
 
 class VciAllocator:
     """Fabric-wide virtual circuit identifiers, one per flow endpoint.
@@ -191,7 +196,7 @@ class Fabric:
     def __init__(self, machines: Union[MachineSpec, Sequence[MachineSpec]],
                  n_hosts: Optional[int] = None, *,
                  n_switches: int = 1,
-                 topology: str = "switched",
+                 topology: str = DEFAULT_TOPOLOGY,
                  topology_spec: Optional[TopologySpec] = None,
                  pods: int = 4,
                  torus_dims: Optional[Sequence[int]] = None,
@@ -199,7 +204,7 @@ class Fabric:
                  routing_seed: int = 1,
                  skew: Optional[SkewModel] = None,
                  segment_mode: SegmentMode = SegmentMode.IN_ORDER,
-                 prop_delay_us: float = 2.0,
+                 prop_delay_us: float = DEFAULT_PROP_DELAY_US,
                  switching_delay_us: float = 1.0,
                  port_rate_mbps: float = OC3_MBPS,
                  port_queue_cells: int = 256,
@@ -1036,4 +1041,5 @@ class Fabric:
         }
 
 
-__all__ = ["Fabric", "Flow", "VciAllocator", "FIRST_FLOW_VCI"]
+__all__ = ["Fabric", "Flow", "VciAllocator", "FIRST_FLOW_VCI",
+           "DEFAULT_TOPOLOGY", "DEFAULT_PROP_DELAY_US"]

@@ -45,8 +45,7 @@ from typing import Optional
 from ..sim import SimulationError
 from ..sim.parallel import BACKENDS, ParallelRunResult, run_shards
 from ..topology import partition_hosts, partition_switches
-from .boundary import BoundaryCodec
-from .fabric import Fabric
+from .fabric import DEFAULT_PROP_DELAY_US, DEFAULT_TOPOLOGY, Fabric
 from .metrics import ClusterReport, merge_partials
 from .workloads import (
     ClientResult, WorkloadResult, WorkloadSpec,
@@ -64,11 +63,12 @@ class ShardFabric(Fabric):
                 f"shard index {shard_index} outside 0..{n_shards - 1}")
         # Validate before Fabric wires anything: the direct topology
         # would trip over the missing hosts mid-construction.
-        if fabric_kwargs.get("topology", "switched") == "direct":
+        if fabric_kwargs.get("topology", DEFAULT_TOPOLOGY) == "direct":
             raise SimulationError(
                 "sharding needs a switched topology; the direct "
                 "two-host wiring has no trunk boundary to cut at")
-        if fabric_kwargs.get("prop_delay_us", 2.0) <= 0.0:
+        if fabric_kwargs.get("prop_delay_us",
+                             DEFAULT_PROP_DELAY_US) <= 0.0:
             raise SimulationError(
                 "sharding needs prop_delay_us > 0: the propagation "
                 "delay is the conservative lookahead")
@@ -109,9 +109,9 @@ class ShardFabric(Fabric):
     def _train_local(self, switch_index: int, host_index: int,
                      cell) -> bool:
         # Trains never cross a shard boundary: a mailboxed train could
-        # not accept appends (the codec ships a snapshot of it).  Cells
-        # bound for another shard take per-cell boundary messages,
-        # exactly as without trains.
+        # not accept appends (the peer unpickles a snapshot of it).
+        # Cells bound for another shard take per-cell boundary
+        # messages, exactly as without trains.
         return self._dest_shard(("in", switch_index, host_index,
                                  cell)) == self.shard_index
 
@@ -270,9 +270,7 @@ class ShardFabric(Fabric):
 class _ShardProgram:
     """What the window engine drives: one shard's fabric + clients.
 
-    ``codec`` (a :class:`~repro.cluster.boundary.BoundaryCodec`) packs
-    this shard's boundary batches; ``may_emit`` feeds the adaptive
-    window coalescing.
+    ``may_emit`` feeds the adaptive window coalescing.
     """
 
     def __init__(self, fabric: ShardFabric, clients: list,
@@ -281,7 +279,6 @@ class _ShardProgram:
         self.sim = fabric.sim
         self.clients = clients
         self.finishers = finishers
-        self.codec = BoundaryCodec()
 
     def may_emit(self) -> bool:
         return self.fabric.may_emit_boundary()
@@ -384,7 +381,7 @@ def run_cluster_sharded(
     if backend not in BACKENDS:
         raise SimulationError(
             f"unknown shard backend {backend!r}; choose from {BACKENDS}")
-    window_us = fabric_kwargs.get("prop_delay_us", 2.0)
+    window_us = fabric_kwargs.get("prop_delay_us", DEFAULT_PROP_DELAY_US)
     factory = functools.partial(_build_shard, n_shards=n_shards,
                                 fabric_kwargs=fabric_kwargs, spec=spec,
                                 sanitize=sanitize,

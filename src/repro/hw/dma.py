@@ -56,8 +56,7 @@ class DmaController:
     def __init__(self, sim: Simulator, tc: TurboChannel,
                  memory: PhysicalMemory, cache: Optional[DataCache],
                  mode: DmaMode = DmaMode.SINGLE_CELL,
-                 page_size: int = 4096,
-                 sgmap=None):
+                 page_size: int = 4096):
         self.sim = sim
         self.tc = tc
         self.memory = memory
@@ -67,9 +66,10 @@ class DmaController:
         # the mode at construction.
         self.max_bytes = mode.max_bytes
         self.page_size = page_size
-        # Optional scatter/gather map (section 2.2): addresses above
-        # its IO_BASE are translated per transaction.
-        self.sgmap = sgmap
+        # Optional scatter/gather map (section 2.2), installed by the
+        # driver: addresses above its IO_BASE are translated per
+        # transaction.
+        self.sgmap = None
         self.transactions = 0
         self.bytes_moved = 0
         # The controller issues one bus transaction at a time; queued

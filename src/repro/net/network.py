@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..atm.aal5 import SegmentMode
 from ..atm.striping import SkewModel
-from ..cluster.fabric import Fabric
+from ..cluster.fabric import DEFAULT_PROP_DELAY_US, Fabric
 from ..hw.specs import MachineSpec
 
 
@@ -26,7 +26,7 @@ class BackToBack(Fabric):
                  machine_b: Optional[MachineSpec] = None,
                  skew: Optional[SkewModel] = None,
                  segment_mode: SegmentMode = SegmentMode.IN_ORDER,
-                 prop_delay_us: float = 2.0,
+                 prop_delay_us: float = DEFAULT_PROP_DELAY_US,
                  **host_kw):
         # The reverse link gets a cloned skew model (seed offset 1) so
         # the two directions' per-link RNG streams stay independent.

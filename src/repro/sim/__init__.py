@@ -6,7 +6,6 @@ from .process import (
     Delay, Interrupted, Latch, Process, Signal, all_of, spawn,
 )
 from .resources import Grant, Resource, Store
-from .trace import Counter, Series, Throughput, mbps_from_bytes
 from .trains import CellTrain
 from .tracing import (
     TraceRecord, Tracer, attach_board_tracer, attach_driver_tracer,
@@ -17,6 +16,5 @@ __all__ = [
     "run_shards", "ParallelRunResult", "BACKENDS",
     "Delay", "Signal", "Latch", "Process", "Interrupted", "spawn", "all_of",
     "Resource", "Grant", "Store", "CellTrain",
-    "Counter", "Series", "Throughput", "mbps_from_bytes",
     "Tracer", "TraceRecord", "attach_board_tracer", "attach_driver_tracer",
 ]

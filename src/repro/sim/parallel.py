@@ -37,8 +37,6 @@ A shard program is anything with::
     deliver(batch) -- schedule [(when, key, msg), ...] from peers
     drain_outbox() -- return and clear [(dest, when, key, msg), ...]
     collect(t_end) -- picklable result after the clock reaches t_end
-    codec          -- batch encoder (a repro.cluster.boundary.
-                      BoundaryCodec or anything with its interface)
     may_emit()     -- optional capability bit for coalescing; absent
                       means "always capable"
 
@@ -47,27 +45,24 @@ the fast path) and ``inline`` (a sequential loop over the shards in
 the calling thread, the debugging backend).  Both run the identical
 coordinator loop, so they produce identical results.
 
-Boundary batches travel as the codec's encoded bytes: the proc
-backend maps one anonymous shared-memory region per direction per
-worker (inherited over fork), workers encode their outboxes straight
-into it, and only a tiny ``(offset, length)`` span crosses the pipe;
-inline hands the encoded buffer over by reference.  The coordinator
-copies a span's bytes exactly once -- mailboxes outlive the window
-that produced them, the mappings do not.
+Boundary batches travel as pickles: a worker groups its outbox by
+destination shard and pickles each batch once, the coordinator files
+those bytes into the destination's mailbox untouched, and the
+receiving worker unpickles them.  The proc backend's batches ride the
+pipe that carries each window report.  Inline pickles too, so it
+checks that every message survives the copy a process boundary makes,
+and ``boundary_bytes`` counts the same pickled bytes on both backends.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import SimulationError
 
 BACKENDS = ("proc", "inline")
-
-# Shared-memory staging area per direction per proc-backend worker.
-# Outboxes larger than this fall back to bytes over the pipe.
-_SHM_BYTES = 1 << 20
 
 _INF = float("inf")
 
@@ -82,7 +77,7 @@ class ParallelRunResult:
     events_processed: int       # summed over shards
     events_absorbed: int = 0    # per-cell events folded into trains
     boundary_msgs: int = 0      # messages exchanged between shards
-    boundary_bytes: int = 0     # encoded bytes that carried them
+    boundary_bytes: int = 0     # pickled bytes that carried them
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +89,9 @@ class _Worker:
     directly in the coordinator for the inline backend -- so every
     backend shares one implementation."""
 
-    def __init__(self, factory: Callable, index: int,
-                 shm_in=None, shm_out=None):
+    def __init__(self, factory: Callable, index: int):
         self.program = factory(index)
-        self.codec = self.program.codec
         self._may_emit = getattr(self.program, "may_emit", None)
-        self._shm_in = memoryview(shm_in) if shm_in is not None else None
-        self._shm_out = shm_out
 
     def _capable(self) -> bool:
         if self._may_emit is None:
@@ -115,8 +106,8 @@ class _Worker:
         op = cmd[0]
         if op == "window":
             _, horizon, inbox = cmd
-            if inbox:
-                self._deliver(inbox)
+            for data in inbox:
+                program.deliver(pickle.loads(data))
             program.sim.run_window(horizon)
             return ("report", program.sim.peek(), self._pack_outbox(),
                     program.sim.last_event_time,
@@ -132,42 +123,20 @@ class _Worker:
             return None
         raise SimulationError(f"unknown shard command {op!r}")
 
-    def _deliver(self, inbox: list) -> None:
-        for span in inbox:
-            if isinstance(span, tuple):         # ("shm", off, length)
-                _, off, length = span
-                buf = self._shm_in[off:off + length]
-            else:                               # standalone bytes
-                buf = span
-            self.program.deliver(self.codec.decode_batch(buf))
-
     def _pack_outbox(self) -> list:
-        codec = self.codec
         by_dest: dict[int, list] = {}
         for dest, when, key, msg in self.program.drain_outbox():
             by_dest.setdefault(dest, []).append((when, key, msg))
-        payload = []
-        cursor = 0
-        for dest in sorted(by_dest):
-            batch = by_dest[dest]
-            span = None
-            if self._shm_out is not None:
-                end = codec.encode_into(batch, self._shm_out, cursor)
-                if end is not None:
-                    span = ("shm", cursor, end - cursor)
-                    cursor = end
-            if span is None:                    # no shm, or overflow
-                span = codec.encode_batch(batch)
-            payload.append((dest, len(batch),
-                            min(when for when, _k, _m in batch), span))
-        return payload
+        return [(dest, len(batch), min(when for when, _k, _m in batch),
+                 pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+                for dest, batch in sorted(by_dest.items())]
 
 
 def _serve(factory: Callable, index: int, recv: Callable,
-           send: Callable, shm_in=None, shm_out=None) -> None:
+           send: Callable) -> None:
     """Run one shard's command loop in a child process."""
     try:
-        worker = _Worker(factory, index, shm_in, shm_out)
+        worker = _Worker(factory, index)
         send(worker.ready())
         while True:
             reply = worker.handle(recv())
@@ -184,9 +153,7 @@ def _serve(factory: Callable, index: int, recv: Callable,
 
 class _Channel:
     """Coordinator's handle on one worker: send a command, await a
-    reply.  Subclasses bind the transport; the span methods let the
-    proc backend stage encoded batches in shared memory while the
-    inline backend passes buffers by reference."""
+    reply.  Subclasses bind the transport."""
 
     def send(self, cmd: tuple) -> None:
         raise NotImplementedError
@@ -200,21 +167,6 @@ class _Channel:
 
     def _recv(self) -> tuple:
         raise NotImplementedError
-
-    def begin_window(self) -> None:
-        """Reset the coordinator->worker staging area (barrier safe:
-        the worker consumed the previous window's spans before it
-        reported)."""
-
-    def pack_span(self, data):
-        """Stage one encoded batch for this worker; returns what to
-        put on the wire (a span tuple or the bytes themselves)."""
-        return data
-
-    def fetch(self, span) -> bytes:
-        """Materialize a span from a worker's report as standalone
-        bytes (mailboxes outlive the staging buffers)."""
-        return span
 
     def close(self) -> None:
         pass
@@ -236,23 +188,12 @@ class _InlineChannel(_Channel):
 
 
 class _ProcChannel(_Channel):
-    def __init__(self, ctx, factory: Callable, index: int,
-                 use_shm: bool):
-        self._shm_in = self._shm_out = None
-        self._in_cursor = 0
-        if use_shm:
-            # Anonymous mappings made before fork are inherited by the
-            # child: no names, no files, no resource tracker -- they
-            # vanish with the processes.
-            import mmap
-            self._shm_in = mmap.mmap(-1, _SHM_BYTES)
-            self._shm_out = mmap.mmap(-1, _SHM_BYTES)
+    def __init__(self, ctx, factory: Callable, index: int):
         parent, child = ctx.Pipe()
         self._conn = parent
         self._proc = ctx.Process(
             target=_serve,
-            args=(factory, index, child.recv, child.send,
-                  self._shm_in, self._shm_out),
+            args=(factory, index, child.recv, child.send),
             name=f"shard-{index}", daemon=True)
         self._proc.start()
         child.close()
@@ -263,33 +204,11 @@ class _ProcChannel(_Channel):
     def _recv(self) -> tuple:
         return self._conn.recv()
 
-    def begin_window(self) -> None:
-        self._in_cursor = 0
-
-    def pack_span(self, data):
-        shm = self._shm_in
-        size = len(data)
-        if shm is None or self._in_cursor + size > _SHM_BYTES:
-            return data
-        off = self._in_cursor
-        shm[off:off + size] = data
-        self._in_cursor = off + size
-        return ("shm", off, size)
-
-    def fetch(self, span) -> bytes:
-        if isinstance(span, tuple):
-            _, off, size = span
-            return bytes(self._shm_out[off:off + size])
-        return span
-
     def close(self) -> None:
         self._conn.close()
         self._proc.join(timeout=10.0)
         if self._proc.is_alive():
             self._proc.terminate()
-        for shm in (self._shm_in, self._shm_out):
-            if shm is not None:
-                shm.close()
 
 
 def _open_channels(factory: Callable, n_shards: int,
@@ -299,13 +218,11 @@ def _open_channels(factory: Callable, n_shards: int,
     if backend == "proc":
         import multiprocessing
         try:
+            # A forked child inherits the factory; it need not pickle.
             ctx = multiprocessing.get_context("fork")
-            use_shm = True
         except ValueError:          # platform without fork
             ctx = multiprocessing.get_context()
-            use_shm = False         # children could not inherit a map
-        return [_ProcChannel(ctx, factory, i, use_shm)
-                for i in range(n_shards)]
+        return [_ProcChannel(ctx, factory, i) for i in range(n_shards)]
     raise SimulationError(
         f"unknown shard backend {backend!r}; choose from {BACKENDS}")
 
@@ -347,7 +264,7 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
             reply = channel.recv()
             peeks.append(reply[1])
             capable.append(bool(reply[2]))
-        # Mailbox entries are (min_when, message count, encoded batch).
+        # Mailbox entries are (min_when, message count, pickled batch).
         inboxes: list[list] = [[] for _ in range(n_shards)]
         lasts = [0.0] * n_shards
         events = [0] * n_shards
@@ -422,10 +339,9 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
                     # window instead of paying a round-trip now.
                     continue
                 active.append(i)
-                channel.begin_window()
                 channel.send(("window", horizon,
-                              [channel.pack_span(data)
-                               for _when, _count, data in inboxes[i]]))
+                              [data for _when, _count, data
+                               in inboxes[i]]))
                 inboxes[i] = []
             if not active:
                 # Unreachable: the shard holding the smallest finite
@@ -443,8 +359,7 @@ def run_shards(factory: Callable, n_shards: int, window_us: float,
                 events[i] = n_events
                 absorbed[i] = n_absorbed
                 capable[i] = bool(is_capable)
-                for dest, count, min_when, span in payload:
-                    data = channels[i].fetch(span)
+                for dest, count, min_when, data in payload:
                     inboxes[dest].append((min_when, count, data))
                     boundary_msgs += count
                     boundary_bytes += len(data)

@@ -27,7 +27,7 @@ Invariants (see DESIGN.md section 10):
   the ``fired`` flag closes it.
 * Trains never cross a shard boundary; the emitting side expands
   them into per-cell messages first (a mailboxed train could not
-  accept appends: the boundary codec ships a snapshot of it).
+  accept appends: the peer unpickles a snapshot of it).
 """
 
 from __future__ import annotations

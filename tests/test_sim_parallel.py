@@ -2,14 +2,13 @@
 
 The ring relay below is the smallest model with the fabric's shape:
 every cross-shard message is stamped one lookahead after the emitting
-event.  It runs identically under both backends.  Every shard program
-carries a :class:`BoundaryCodec`; the toy messages have no fixed
-record, so they cross as the codec's pickle escape records.
+event.  It runs identically under both backends.
 """
+
+import pickle
 
 import pytest
 
-from repro.cluster.boundary import BoundaryCodec
 from repro.sim import SimulationError, Simulator
 from repro.sim.parallel import BACKENDS, run_shards
 
@@ -26,7 +25,6 @@ class RingRelay:
         self.hops = hops
         self.log = []
         self._outbox = []
-        self.codec = BoundaryCodec()
         if index == 0:
             self.sim.call_at(1.0, lambda: self._hop(0))
 
@@ -122,7 +120,6 @@ class SelfLooper:
         self.index = index
         self.log = []
         self._remaining = events
-        self.codec = BoundaryCodec()
         self.sim.call_at(1.0, self._tick)
 
     def may_emit(self) -> bool:
@@ -173,7 +170,6 @@ class Sender:
     def __init__(self, n_msgs: int):
         self.sim = Simulator()
         self._outbox = []
-        self.codec = BoundaryCodec()
         for k in range(n_msgs):
             self.sim.call_at(1.0 + W * k, lambda k=k: self._emit(k))
 
@@ -199,7 +195,6 @@ class Sink:
         self.sim = Simulator()
         self.received = []
         self.flush_times = []       # sim time of each deliver() call
-        self.codec = BoundaryCodec()
 
     def may_emit(self) -> bool:
         return False
@@ -233,18 +228,18 @@ def test_deliver_only_sink_batches_into_one_window():
     assert set(run.partials[1]["flush_times"]) == {0.0}
 
 
-# ---------------------------------------------------------------- codec
+# ------------------------------------------------------------ transport
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_codec_transport_is_transparent(backend):
+def test_transport_ships_pickled_batches(backend):
     run = run_shards(lambda i: _ring(i), 3, W, backend=backend)
     merged = sorted((entry for p in run.partials for entry in p["log"]))
     assert merged == [(1.0 + W * k, k) for k in range(12)]
     # 11 of the 12 hops cross a shard boundary, each alone in its
     # window's batch; the engine counts exactly the bytes it shipped.
     assert run.boundary_msgs == 11
-    codec = BoundaryCodec()
     assert run.boundary_bytes == sum(
-        len(codec.encode_batch([(1.0 + W * k, ("hop", k), ("hop", k))]))
+        len(pickle.dumps([(1.0 + W * k, ("hop", k), ("hop", k))],
+                         pickle.HIGHEST_PROTOCOL))
         for k in range(1, 12))
