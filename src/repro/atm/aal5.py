@@ -72,6 +72,18 @@ def pad_and_trailer(data_len: int, crc: int) -> bytes:
     return tail + _WORD.pack(crc32(tail, crc))
 
 
+def trailer_length(trailer: bytes, framed_len: int) -> int | None:
+    """The data length an 8-byte ``trailer`` declares for a PDU framed
+    in ``framed_len`` bytes, or None when the padding that length
+    implies is impossible (negative, or a whole cell payload or more).
+    """
+    length, _crc = _TRAILER.unpack(trailer)
+    pad = framed_len - TRAILER_BYTES - length
+    if 0 <= pad < AAL_PAYLOAD_BYTES:
+        return length
+    return None
+
+
 def encode_pdu(data: bytes) -> bytes:
     """Pad ``data`` and append the AAL5 trailer."""
     return data + pad_and_trailer(len(data), crc32(data))
@@ -81,14 +93,12 @@ def decode_pdu(framed: bytes) -> bytes:
     """Strip padding and trailer, verifying length and CRC."""
     if len(framed) < TRAILER_BYTES or len(framed) % AAL_PAYLOAD_BYTES:
         raise BadLength(f"framed size {len(framed)} is not a cell multiple")
-    length, crc = _TRAILER.unpack(framed[-TRAILER_BYTES:])
-    if length > len(framed) - TRAILER_BYTES:
-        raise BadLength(f"trailer length {length} exceeds PDU")
-    pad = len(framed) - TRAILER_BYTES - length
-    if pad >= AAL_PAYLOAD_BYTES:
-        raise BadLength(f"implausible padding {pad}")
-    body = framed[:-TRAILER_BYTES]
-    expect = crc32(body + framed[-TRAILER_BYTES:-4])
+    length = trailer_length(framed[-TRAILER_BYTES:], len(framed))
+    if length is None:
+        raise BadLength(
+            f"trailer length does not fit {len(framed)} framed bytes")
+    (crc,) = _WORD.unpack_from(framed, len(framed) - 4)
+    expect = crc32(framed[:-4])
     if expect != crc:
         raise BadCrc(f"crc {crc:#010x} != computed {expect:#010x}")
     return framed[:length]
@@ -157,5 +167,5 @@ class Reassembler:
 __all__ = [
     "Aal5Error", "BadLength", "BadCrc", "SegmentMode", "Reassembler",
     "encode_pdu", "decode_pdu", "segment", "framed_size", "cell_count",
-    "pad_and_trailer", "TRAILER_BYTES",
+    "pad_and_trailer", "trailer_length", "TRAILER_BYTES",
 ]

@@ -2,9 +2,9 @@
 
 from .cache_policy import CachePolicy
 from .config import CachePolicyKind, DriverConfig
-from .osiris_driver import DriverProtocol, DriverSession, OsirisDriver
+from .osiris_driver import ChannelDriver, DriverSession, OsirisDriver
 
 __all__ = [
-    "OsirisDriver", "DriverSession", "DriverProtocol",
+    "OsirisDriver", "ChannelDriver", "DriverSession",
     "DriverConfig", "CachePolicyKind", "CachePolicy",
 ]

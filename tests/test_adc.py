@@ -1,6 +1,9 @@
 """Application device channel tests (section 3.2)."""
 
+import dataclasses
+
 from repro.adc import AdcChannelDriver, AdcManager, grants_overlap
+from repro.atm.aal5 import Reassembler
 from repro.hw import DS5000_200
 from repro.net import Host
 from repro.osiris import Descriptor, FLAG_END_OF_PDU
@@ -12,6 +15,18 @@ def _host(machine=DS5000_200):
     sim = Simulator()
     host = Host(sim, machine, reserved_bytes=8 * 1024 * 1024)
     host.connect(link=None, deliver=lambda cell: None)
+    return sim, host
+
+
+def _loopback_host(deliver=None):
+    """A host whose board's transmit feeds its own receive FIFO,
+    through ``deliver(host, cell)`` when given."""
+    sim = Simulator()
+    host = Host(sim, DS5000_200, reserved_bytes=8 * 1024 * 1024)
+    if deliver is None:
+        host.connect(link=None, deliver=host.board.deliver_cell)
+    else:
+        host.connect(link=None, deliver=lambda cell: deliver(host, cell))
     return sim, host
 
 
@@ -162,3 +177,110 @@ def test_adc_latency_close_to_kernel_latency():
     # identical).
     assert adc_time < kernel_time
     assert abs(adc_time - kernel_time) / kernel_time < 0.15
+
+
+def test_adc_burst_fills_the_transmit_queue_and_wraps_the_ring():
+    """Sends that outrun the board fill the ADC's transmit queue (the
+    driver spins until the board frees a slot) and wrap the transmit
+    region; every PDU still reaches the board once, in order."""
+    sim, host = _host()
+    cells = []
+    host.txp.deliver = cells.append
+    manager, grant, driver = _adc(sim, host)
+    session = driver.open_path()
+    queue = grant.channel.tx_queue
+    refused = []
+    push = queue.push
+
+    def spying_push(desc, by_host=None):
+        ok = push(desc, by_host)
+        if not ok:
+            refused.append(desc)
+        return ok
+
+    queue.push = spying_push
+    # 8 KB and up; the distinct lengths identify the PDUs on the wire.
+    sizes = [8192 + i for i in range(100)]
+    starts = []
+
+    def go():
+        for size in sizes:
+            msg = driver.new_message(bytes(size))
+            starts.append(msg.segments()[0][0])
+            yield from session.send(msg)
+
+    spawn(sim, go(), "app")
+    sim.run()
+    assert refused                                    # the queue filled
+    assert starts.count(grant.tx_region_vaddr) > 1    # the ring wrapped
+    reassembler = Reassembler(grant.vcis[0])
+    pdus = [pdu for pdu in map(reassembler.push, cells) if pdu is not None]
+    assert [len(pdu) for pdu in pdus] == sizes
+    assert driver.pdus_sent == grant.channel.pdus_sent == len(sizes)
+
+
+def test_pdu_on_an_unopened_vci_is_counted_and_its_buffer_recycled():
+    sim, host = _loopback_host()
+    manager, grant, driver = _adc(sim, host, n_vcis=2)
+    session = driver.open_path(grant.vcis[0])
+    app = TestProgram(host.test, session, keep_data=True)
+    free = grant.channel.free_queue
+    kernel_free = host.board.kernel_channel.free_queue
+    stocked, kernel_stocked = free.pushes, kernel_free.pushes
+
+    def stray():
+        msg = driver.new_message(b"no path here" * 40)
+        yield from driver.send_pdu(msg, grant.vcis[1])
+
+    spawn(sim, stray(), "stray")
+    sim.run()
+    assert driver.rx_errors == 1
+    assert driver.pdus_received == 0 and not app.receptions
+    assert free.pushes == stocked      # held until the next receive
+
+    def good():
+        yield from session.send(driver.new_message(b"on the path" * 40))
+
+    spawn(sim, good(), "good")
+    sim.run()
+    assert driver.pdus_received == 1
+    assert app.receptions[0].data == b"on the path" * 40
+    assert driver.rx_errors == 1
+    # The stray PDU's buffer went back to the ADC, not to the kernel.
+    assert free.pushes == stocked + 1
+    assert free.peek(by_host=False).addr in grant.rx_buffers
+    assert kernel_free.pushes == kernel_stocked
+
+
+def test_errored_descriptor_is_counted_and_its_buffer_recycled():
+    flipped = []
+
+    def corrupt_first_cell(host, cell):
+        if not flipped:
+            flipped.append(cell)
+            payload = bytes([cell.payload[0] ^ 0x01]) + cell.payload[1:]
+            cell = dataclasses.replace(cell, payload=payload)
+        host.board.deliver_cell(cell)
+
+    sim, host = _loopback_host(corrupt_first_cell)
+    manager, grant, driver = _adc(sim, host)
+    session = driver.open_path()
+    app = TestProgram(host.test, session, keep_data=True)
+    free = grant.channel.free_queue
+    stocked = free.pushes
+
+    def send(data):
+        yield from session.send(driver.new_message(data))
+
+    spawn(sim, send(b"damaged" * 50), "bad")
+    sim.run()
+    assert flipped
+    assert driver.rx_errors == 1
+    assert driver.pdus_received == 0 and not app.receptions
+
+    spawn(sim, send(b"intact" * 50), "good")
+    sim.run()
+    assert app.receptions[0].data == b"intact" * 50
+    assert driver.rx_errors == 1
+    assert free.pushes == stocked + 1
+    assert free.peek(by_host=False).addr in grant.rx_buffers

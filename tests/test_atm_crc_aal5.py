@@ -8,6 +8,7 @@ from repro.atm import (
     crc32, decode_pdu, encode_pdu, framed_size, internet_checksum,
     segment, verify_internet_checksum,
 )
+from repro.atm.aal5 import TRAILER_BYTES, trailer_length
 
 
 # -- CRC-32 -----------------------------------------------------------------
@@ -111,6 +112,15 @@ def test_decode_detects_bad_length_field():
 def test_decode_rejects_non_cell_multiple():
     with pytest.raises(BadLength):
         decode_pdu(b"z" * 45)
+
+
+def test_trailer_length_accepts_only_pads_under_one_payload():
+    framed_len = 3 * 44
+    for pad, accepted in ((0, True), (43, True), (44, False), (-1, False)):
+        length = framed_len - TRAILER_BYTES - pad
+        trailer = length.to_bytes(4, "big") + bytes(4)
+        expected = length if accepted else None
+        assert trailer_length(trailer, framed_len) == expected, pad
 
 
 # -- Segmentation -------------------------------------------------------------
