@@ -7,14 +7,10 @@ from .process import (
 )
 from .resources import Grant, Resource, Store
 from .trains import CellTrain
-from .tracing import (
-    TraceRecord, Tracer, attach_board_tracer, attach_driver_tracer,
-)
 
 __all__ = [
     "Simulator", "SimulationError", "Timer", "NO_KEY",
     "run_shards", "ParallelRunResult", "BACKENDS",
     "Delay", "Signal", "Latch", "Process", "Interrupted", "spawn", "all_of",
     "Resource", "Grant", "Store", "CellTrain",
-    "Tracer", "TraceRecord", "attach_board_tracer", "attach_driver_tracer",
 ]
