@@ -26,16 +26,11 @@ class CachePolicyKind(enum.Enum):
 class DriverConfig:
     """Configuration of one host's OSIRIS driver."""
 
-    rx_buffers: int = 64                  # (paper) 64-buffer queues
     cache_policy: CachePolicyKind = CachePolicyKind.LAZY
     interrupt_mode: InterruptMode = InterruptMode.COALESCED
     tx_dma_mode: DmaMode = DmaMode.SINGLE_CELL
     rx_dma_mode: DmaMode = DmaMode.SINGLE_CELL
     wiring_style: WiringStyle = WiringStyle.FAST_LOW_LEVEL
-    # Cached-fbuf pools: how many paths get preallocated per-path
-    # buffers, and how many buffers each (section 3.1: 16 MRU paths).
-    fbuf_cached_paths: int = 16
-    fbuf_buffers_per_path: int = 4
     # Virtual-address DMA through a hardware scatter/gather map
     # (section 2.2): one descriptor per message segment instead of one
     # per physical buffer, at a per-page map-update cost.

@@ -19,7 +19,7 @@ from ..hw.bus import MemorySystem, TurboChannel
 from ..hw.cache import DataCache
 from ..hw.cpu import HostCPU
 from ..hw.memory import PhysicalMemory
-from ..hw.specs import BoardSpec, MachineSpec
+from ..hw.specs import MachineSpec
 from ..osiris.board import OsirisBoard
 from ..osiris.rx_processor import RxProcessor
 from ..osiris.tx_processor import TxProcessor
@@ -36,7 +36,6 @@ class Host:
     def __init__(self, sim: Simulator, machine: MachineSpec,
                  name: str = "host",
                  config: Optional[DriverConfig] = None,
-                 board_spec: Optional[BoardSpec] = None,
                  ip_mtu: Optional[int] = None,
                  udp_checksum: bool = False,
                  memory_bytes: int = 16 * 1024 * 1024,
@@ -55,7 +54,7 @@ class Host:
         self.kernel = HostOS(sim, self.cpu, self.cache, self.memory,
                              wiring_style=self.config.wiring_style)
         self.board = OsirisBoard(sim, machine, self.tc, self.memory,
-                                 self.cache, spec=board_spec,
+                                 self.cache,
                                  tx_dma_mode=self.config.tx_dma_mode,
                                  rx_dma_mode=self.config.rx_dma_mode)
         self.driver = OsirisDriver(sim, self.kernel, self.board,
