@@ -39,6 +39,14 @@ class AdcGrant:
     rx_buffer_vaddrs: list[int] = field(default_factory=list)
 
 
+def grants_overlap(a: AdcGrant, b: AdcGrant) -> bool:
+    """True when two ADCs share any authorized physical page --
+    which would let one application corrupt another's buffers."""
+    pages_a = a.channel.allowed_pages or set()
+    pages_b = b.channel.allowed_pages or set()
+    return bool(pages_a & pages_b)
+
+
 class AdcManager:
     """The kernel's ADC service: open/close application device channels."""
 
@@ -124,4 +132,4 @@ class AdcManager:
             pos += page
 
 
-__all__ = ["AdcManager", "AdcGrant"]
+__all__ = ["AdcManager", "AdcGrant", "grants_overlap"]
