@@ -12,6 +12,12 @@ checks three things no single test pins down together:
 3. the report is **byte-identical across shard counts**, fault
    decisions included.
 
+Each scenario is a :class:`~repro.cluster.config.ClusterConfig`, run
+through the same :meth:`~repro.cluster.config.ClusterConfig.run` as
+``repro cluster``, so ``--seed`` seeds the fault plan, the workload
+and ECMP routing alike, and a failing scenario prints the ``python -m
+repro cluster`` command that reruns it.
+
 Usage::
 
     python -m repro chaos --quick
@@ -21,128 +27,74 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
+from dataclasses import replace
 from typing import Optional
 
-from ..hw.specs import DS5000_200
+from ..cluster.config import ClusterConfig
 from ..sim.parallel import BACKENDS
-from .plan import FaultPlan
 
 
 def build_scenarios(seed: int = 1, quick: bool = True) -> list[dict]:
     """The seeded fault matrix.  Every scenario is an open-loop
     workload (completion is then a meaningful invariant) over a
-    4-host fabric, with ``fabric_kwargs`` picklable for the sharded
-    proc backend."""
-    from ..atm.aal5 import SegmentMode
-    from ..cluster import WorkloadSpec
-    from ..recovery import RecoveryConfig
-    from ..topology import build_spec
-
-    messages = 3 if quick else 8
-    size = 2048 if quick else 8192
-
-    def kwargs(**extra) -> dict:
-        base = {"machines": DS5000_200, "n_hosts": 4, "n_switches": 1,
-                "segment_mode": SegmentMode.SEQUENCE}
-        base.update(extra)
-        return base
-
-    def spec(pattern: str) -> "WorkloadSpec":
-        return WorkloadSpec(pattern=pattern, kind="open", seed=seed,
-                            message_bytes=size,
-                            messages_per_client=messages)
-
+    4-host fabric, stated as the :class:`ClusterConfig` of one
+    ``repro cluster`` run."""
+    base = ClusterConfig(hosts=4, seed=seed, messages=3 if quick else 8,
+                         size=2048 if quick else 8192)
     scenarios = [
-        {
-            "name": "loss-corrupt",
-            "fabric_kwargs": kwargs(faults=FaultPlan.parse(
-                "loss=0.01,corrupt=0.002", seed=seed)),
-            "spec": spec("pairs"),
-        },
-        {
-            "name": "flap-kill-port",
-            "fabric_kwargs": kwargs(n_switches=2, faults=FaultPlan.parse(
-                "flap=1:2@300+150,kill=0:3@500,port=0:0:1@400",
-                seed=seed)),
-            "spec": spec("all2all"),
-        },
-        {
-            "name": "credit-regen",
-            "fabric_kwargs": kwargs(
-                backpressure="credit",
-                credit_regen_timeout_us=600.0,
-                faults=FaultPlan.parse("loss=0.01,credit-loss=0.05",
-                                       seed=seed)),
-            "spec": spec("incast"),
-            "expect_no_queue_full": True,
-        },
+        {"name": "loss-corrupt",
+         "config": replace(base, pattern="pairs",
+                           faults="loss=0.01,corrupt=0.002")},
+        {"name": "flap-kill-port",
+         "config": replace(base, pattern="all2all", switches=2,
+                           faults="flap=1:2@300+150,kill=0:3@500,"
+                                  "port=0:0:1@400")},
+        {"name": "credit-regen", "expect_no_queue_full": True,
+         "config": replace(base, backpressure="credit",
+                           regen_timeout=600.0,
+                           faults="loss=0.01,credit-loss=0.05")},
+        # Self-healing: kill one lane of leaf0's uplink to spine0
+        # after traffic is flowing; recovery must detect the dead
+        # port, reroute the affected flows through spine1, and deliver
+        # >= 90% of the offered messages -- without it the striped
+        # trunk silently eats a quarter of every affected flow forever.
+        {"name": "port-kill-reroute", "expect_recovery": True,
+         "config": replace(base, pattern="all2all", topology="clos",
+                           pods=2, oversub=1.0, size=2048, rate=20.0,
+                           poisson=True, messages=6 if quick else 10,
+                           faults="port=leaf0:2:1@1000",
+                           recovery="reroute")},
     ]
-    # Self-healing: kill one lane of leaf0's uplink to spine0 after
-    # traffic is flowing; recovery must detect the dead port, reroute
-    # the affected flows through spine1, and deliver >= 90% of the
-    # offered messages -- without it the striped trunk silently eats a
-    # quarter of every affected flow forever.
-    clos = build_spec("clos", 4, pods=2, oversubscription=1.0)
-    scenarios.append({
-        "name": "port-kill-reroute",
-        "fabric_kwargs": kwargs(
-            topology="clos", pods=2, oversubscription=1.0,
-            faults=FaultPlan.parse("port=leaf0:2:1@1000", seed=seed,
-                                   topology=clos),
-            recovery=RecoveryConfig(mode="reroute")),
-        "spec": WorkloadSpec(pattern="all2all", kind="open", seed=seed,
-                             message_bytes=2048, rate_mbps=20.0,
-                             arrival="poisson",
-                             messages_per_client=6 if quick else 10),
-        "expect_recovery": True,
-    })
     if not quick:
-        scenarios.append({
-            "name": "efci-loss",
-            "fabric_kwargs": kwargs(
-                backpressure="efci",
-                faults=FaultPlan.parse("loss=0.02", seed=seed)),
-            "spec": spec("incast"),
-        })
+        scenarios.append({"name": "efci-loss", "config": replace(
+            base, backpressure="efci", faults="loss=0.02")})
     return scenarios
 
 
 def run_scenario(scenario: dict, shard_counts: tuple[int, ...] = (1, 2),
                  backend: str = "inline", sanitize: bool = False) -> dict:
     """Run one scenario at every shard count and check the invariants.
-    Returns a result dict with ``ok`` and a list of ``failures``."""
-    from ..cluster import Fabric, collect, run_workload
-    from ..cluster.sharded import run_cluster_sharded
-
-    if sanitize:
-        from ..analysis import sanitize as _sanitize
-        _sanitize.enable()
-
+    Returns a result dict with ``ok`` and a list of ``failures``; a
+    failing scenario's list ends with the command that reproduces its
+    first run."""
+    configs = [replace(scenario["config"], shards=k,
+                       shard_backend=backend, sanitize=sanitize)
+               for k in shard_counts]
+    # Invariants 1 and 2 below only mean anything on a run that
+    # actually quiesced; the budget turns a stalled plain run into an
+    # error instead of a bogus "ok".
+    reports = [config.run(max_events=50_000_000) for config in configs]
     failures: list[str] = []
-    reports = {}
-    for k in shard_counts:
-        if k == 1:
-            fabric = Fabric(**scenario["fabric_kwargs"])
-            # Invariants 1 and 2 below only mean anything on a run
-            # that actually quiesced; the budget turns a stalled
-            # fabric into an error instead of a bogus "ok".
-            result = run_workload(fabric, scenario["spec"],
-                                  max_events=50_000_000)
-            reports[k] = collect(fabric, result)
-        else:
-            reports[k], _run = run_cluster_sharded(
-                scenario["fabric_kwargs"], scenario["spec"], k,
-                backend=backend, sanitize=sanitize)
 
-    base = shard_counts[0]
-    base_json = reports[base].to_json()
-    for k in shard_counts[1:]:
-        if reports[k].to_json() != base_json:
-            failures.append(
-                f"--shards {k} report differs from --shards {base}")
+    report = reports[0]
+    base_json = report.to_json()
+    for k, other in zip(shard_counts[1:], reports[1:]):
+        if other.to_json() != base_json:
+            failures.append(f"--shards {k} report differs from "
+                            f"--shards {shard_counts[0]}")
 
-    report = reports[base]
     cons = report.conservation
     if not cons["holds"]:
         failures.append(f"conservation violated: {cons}")
@@ -150,8 +102,7 @@ def run_scenario(scenario: dict, shard_counts: tuple[int, ...] = (1, 2),
         failures.append(
             f"{cons['queued']} cells still queued at quiescence")
     workload = report.workload
-    expected = (workload["clients"]
-                * scenario["spec"].messages_per_client)
+    expected = workload["clients"] * scenario["config"].messages
     if workload["messages_sent"] != expected:
         failures.append(
             f"only {workload['messages_sent']}/{expected} messages "
@@ -179,6 +130,9 @@ def run_scenario(scenario: dict, shard_counts: tuple[int, ...] = (1, 2),
                 f"only {workload['messages_received']}/"
                 f"{workload['messages_sent']} messages delivered "
                 f"post-failover (need >= 90%)")
+    if failures:
+        failures.append("reproduce: python -m repro cluster "
+                        + shlex.join(configs[0].to_argv()))
     # Per-site fault accounting for the JSON report: what each
     # injection point actually did to the traffic that crossed it.
     fault_sites = {

@@ -1,6 +1,7 @@
 """CLI tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +176,27 @@ def test_cluster_rejects_bad_input_naming_the_flag(argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(["cluster", *argv])
     assert str(exc.value).startswith(f"cluster: {flag} ")
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for command in ("table1", "figure2", "figure3", "figure4", "all",
+                    "cluster", "chaos", "lint", "check", "latency",
+                    "receive", "transmit"):
+        assert command in out
+
+
+def test_lint_runs_the_linters_own_main(capsys):
+    assert main(["lint", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["findings"] == []
+    assert doc["checked_files"] > 0
+
+
+def test_check_runs_the_checkers_own_main(capsys):
+    fixtures = Path(__file__).resolve().parent / "race_fixtures"
+    assert main(["check", "--root", str(fixtures),
+                 "--suppressions", "/dev/null"]) == 1
+    assert "RACE2" in capsys.readouterr().out
