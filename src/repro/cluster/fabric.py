@@ -73,7 +73,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..atm.aal5 import SegmentMode
-from ..atm.link import OC3_MBPS
 from ..atm.striping import SkewModel, StripedLink
 from ..analysis.sanitize import maybe_actor
 from ..atm.switch import BACKPRESSURE_MODES, DRAIN_POLICIES, CellSwitch
@@ -96,6 +95,9 @@ LAST_FLOW_VCI = 0x3FFF
 # propagation delay that is also the shards' conservative lookahead.
 DEFAULT_TOPOLOGY = "switched"
 DEFAULT_PROP_DELAY_US = 2.0
+
+# How long an EFCI mark relayed back to a source pauses its flow.
+EFCI_PAUSE_US = 60.0
 
 
 class VciAllocator:
@@ -197,7 +199,6 @@ class Fabric:
                  n_hosts: Optional[int] = None, *,
                  n_switches: int = 1,
                  topology: str = DEFAULT_TOPOLOGY,
-                 topology_spec: Optional[TopologySpec] = None,
                  pods: int = 4,
                  torus_dims: Optional[Sequence[int]] = None,
                  oversubscription: float = 2.0,
@@ -206,12 +207,8 @@ class Fabric:
                  segment_mode: SegmentMode = SegmentMode.IN_ORDER,
                  prop_delay_us: float = DEFAULT_PROP_DELAY_US,
                  switching_delay_us: float = 1.0,
-                 port_rate_mbps: float = OC3_MBPS,
-                 port_queue_cells: int = 256,
                  backpressure: str = "none",
                  credit_window_cells: int = 64,
-                 efci_threshold_cells: Optional[int] = None,
-                 efci_pause_us: float = 60.0,
                  drain_policy: str = "rr",
                  trains: bool = True,
                  faults: Optional[FaultPlan] = None,
@@ -269,25 +266,16 @@ class Fabric:
         # numbering, routes, and partitions agree without coordination.
         self.topo: Optional[TopologySpec] = None
         if topology != "direct":
-            if topology_spec is not None:
-                self.topo = topology_spec
-                self.topo.validate()
-            else:
-                self.topo = build_spec(
-                    topology, len(machines), n_switches=n_switches,
-                    pods=pods, dims=torus_dims,
-                    oversubscription=oversubscription)
-            if self.topo.n_hosts != len(machines):
-                raise SimulationError(
-                    f"topology spec covers {self.topo.n_hosts} hosts "
-                    f"but the fabric has {len(machines)}")
+            self.topo = build_spec(
+                topology, len(machines), n_switches=n_switches,
+                pods=pods, dims=torus_dims,
+                oversubscription=oversubscription)
         self.routing_seed = routing_seed
         self._ecmp = (build_ecmp_tables(self.topo)
                       if self.topo is not None else None)
         self._init_ownership()
         self.backpressure = backpressure
         self.credit_window_cells = credit_window_cells
-        self.efci_pause_us = efci_pause_us
         self.prop_delay_us = prop_delay_us
         self.drain_policy = drain_policy
         # Cell-train fast path (repro.sim.trains): bursts of
@@ -359,8 +347,7 @@ class Fabric:
             self._wire_direct(prop_delay_us)
         else:
             self._wire_from_spec(self.topo, prop_delay_us,
-                                 switching_delay_us, port_rate_mbps,
-                                 port_queue_cells, efci_threshold_cells)
+                                 switching_delay_us)
         self._schedule_faults()
         if recovery is not None and recovery.mode != "off":
             self.recovery = RecoveryManager(self, recovery)
@@ -420,7 +407,7 @@ class Fabric:
             self.gates[src].refill(vci)
         elif kind == "pause":
             _, src, vci = msg
-            self.gates[src].pause(vci, self.sim.now + self.efci_pause_us)
+            self.gates[src].pause(vci, self.sim.now + EFCI_PAUSE_US)
         elif kind == "dead":
             self.recovery.apply_dead(*msg[1:])
         else:
@@ -623,18 +610,13 @@ class Fabric:
         b.connect(link_ba, segment_mode=self.segment_mode)
 
     def _wire_from_spec(self, topo: TopologySpec, prop_delay_us: float,
-                        switching_delay_us: float, port_rate_mbps: float,
-                        port_queue_cells: int,
-                        efci_threshold_cells: Optional[int]) -> None:
+                        switching_delay_us: float) -> None:
         n_switches = topo.n_switches
         self.switches = [
             CellSwitch(self.sim, name=topo.switch_names[k],
-                       port_rate_mbps=port_rate_mbps,
                        switching_delay_us=switching_delay_us,
-                       port_queue_cells=port_queue_cells,
                        backpressure=self.backpressure,
-                       drain_policy=self.drain_policy,
-                       efci_threshold_cells=efci_threshold_cells)
+                       drain_policy=self.drain_policy)
             for k in range(n_switches)
         ]
         next_trunk = [0] * n_switches
@@ -1008,7 +990,7 @@ class Fabric:
                             "watchdog_us": self.credit_watchdog_us}
         elif self.backpressure == "efci":
             backpressure = {"mode": "efci",
-                            "efci_pause_us": self.efci_pause_us}
+                            "efci_pause_us": EFCI_PAUSE_US}
         return {
             "topology": self.topology,
             "counters": self.counters(),
@@ -1042,4 +1024,4 @@ class Fabric:
 
 
 __all__ = ["Fabric", "Flow", "VciAllocator", "FIRST_FLOW_VCI",
-           "DEFAULT_TOPOLOGY", "DEFAULT_PROP_DELAY_US"]
+           "DEFAULT_TOPOLOGY", "DEFAULT_PROP_DELAY_US", "EFCI_PAUSE_US"]

@@ -53,6 +53,10 @@ COMBINE_WAIT_US = 0.75
 # The striped link's aggregate cell rate: one cell per 0.682 us is
 # 516 Mbps of payload (section 4's fictitious-PDU generator).
 CELL_PACE_US = 0.682
+# SEQUENCE mode: declare a destroyed cell lost after this many later
+# arrivals, instead of wedging until the skew window overflows (which
+# a short flow may never do).
+LOSS_RESYNC_CELLS = 32
 
 
 class InterruptMode(enum.Enum):
@@ -100,17 +104,12 @@ class RxProcessor:
     def __init__(self, sim: Simulator, board: OsirisBoard,
                  reassembly_mode: SegmentMode = SegmentMode.IN_ORDER,
                  interrupt_mode: InterruptMode = InterruptMode.COALESCED,
-                 flow_controlled: bool = False,
-                 loss_resync_cells: Optional[int] = 32):
+                 flow_controlled: bool = False):
         self.sim = sim
         self.board = board
         self.reassembly_mode = reassembly_mode
         self.interrupt_mode = interrupt_mode
         self.flow_controlled = flow_controlled
-        # SEQUENCE mode: declare a destroyed cell after this many later
-        # arrivals instead of wedging until the skew window overflows
-        # (which a short flow may never do).  None restores the wedge.
-        self.loss_resync_cells = loss_resync_cells
         self.bufsize = board.spec.recv_buffer_bytes
         self._states: dict[int, _VciState] = {}
         self._dma_tokens = Store(sim, "rx-dma-tokens")
@@ -184,7 +183,7 @@ class RxProcessor:
     def _new_detector(self, vci: int) -> Any:
         if self.reassembly_mode is SegmentMode.SEQUENCE:
             return SequenceNumberReassembler(
-                vci, loss_resync_cells=self.loss_resync_cells)
+                vci, loss_resync_cells=LOSS_RESYNC_CELLS)
         if self.reassembly_mode is SegmentMode.CONCURRENT:
             return ConcurrentReassembler(vci, STRIPE_LINKS)
         return Reassembler(vci)

@@ -8,7 +8,6 @@ as :class:`repro.topology.spec.TopologySpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..sim import SimulationError
 
@@ -32,29 +31,17 @@ class RecoveryConfig:
         How long an element must stay unresponsive before it is
         declared dead (measured from the first probe that found it
         down).
-    ``ctrl_delay_us``
-        Propagation delay of the declaration broadcast.  ``None``
-        uses the fabric's ``prop_delay_us``; smaller values are
-        clamped up to it -- the broadcast crosses shard boundaries
-        and must respect the conservative window lookahead.
-    ``setup_rtt_per_hop_us``
-        VC re-establishment settling time per path hop (signalling
-        round trip).  ``None`` uses ``2 * prop_delay_us``.
-    ``backoff_us``
-        Base of the deterministic exponential backoff between reroute
-        attempts: attempt ``k`` retries after ``backoff_us * 2**k``.
-    ``max_retries``
-        Attempts before a flow is declared unrecoverable and left to
-        degrade gracefully (counted, not wedged).
+
+    The declaration broadcast takes the fabric's propagation delay,
+    VC re-establishment settles for two of them per path hop, and
+    reroute attempts back off as
+    :data:`~repro.recovery.manager.BACKOFF_US` and
+    :data:`~repro.recovery.manager.MAX_RETRIES` say.
     """
 
     mode: str = "detect"
     hb_interval_us: float = 50.0
     detect_timeout_us: float = 100.0
-    ctrl_delay_us: Optional[float] = None
-    setup_rtt_per_hop_us: Optional[float] = None
-    backoff_us: float = 100.0
-    max_retries: int = 4
 
     def __post_init__(self) -> None:
         if self.mode not in RECOVERY_MODES:
@@ -65,10 +52,6 @@ class RecoveryConfig:
             raise SimulationError("hb_interval_us must be positive")
         if self.detect_timeout_us < 0:
             raise SimulationError("detect_timeout_us must be >= 0")
-        if self.backoff_us <= 0:
-            raise SimulationError("backoff_us must be positive")
-        if self.max_retries < 1:
-            raise SimulationError("max_retries must be >= 1")
 
 
 __all__ = ["RecoveryConfig", "RECOVERY_MODES"]

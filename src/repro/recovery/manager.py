@@ -19,9 +19,9 @@ it stays down ``detect_timeout_us`` it is *declared* and the chain
 stops (probes never outlive a declaration, preserving quiescence).
 
 **Broadcast.**  A declaration is one boundary message ``("dead",
-...)`` fanned out to every shard at ``t_detect + ctrl_delay`` (the
-control delay is clamped to the fabric's propagation delay, the
-conservative window lookahead).  Everything downstream -- masking,
+...)`` fanned out to every shard one propagation delay after
+``t_detect`` (the fabric's ``prop_delay_us``, the conservative window
+lookahead).  Everything downstream -- masking,
 re-resolution, retry timers, VC establishment -- is *replicated
 deterministic computation*: every shard runs it identically at the
 same simulated times, which keeps the global ``VciAllocator`` and
@@ -32,7 +32,8 @@ route tables in lock-step without further coordination.
 masked out.  Because :meth:`CellSwitch.add_route` refuses duplicate
 VCIs, a reroute never mutates an installed route: it allocates a
 fresh wire VCI, installs the new path beside the old one, and
-retargets the sender's driver session after a per-hop settling time.
+retargets the sender's driver session after a settling time of two
+propagation delays (a signalling round trip) per path hop.
 The TX sequence numbering migrates with the flow (the receiver's
 reassembler keys state by the *delivered* VCI, which never changes),
 so the outage looks like ordinary cell loss to the AAL5 layer.
@@ -51,6 +52,12 @@ from .config import RecoveryConfig
 
 if TYPE_CHECKING:
     from ..cluster.fabric import Fabric
+
+# Reroute attempt k retries after BACKOFF_US * 2**k; a flow still
+# without a path after MAX_RETRIES attempts is counted no_path and
+# left to degrade gracefully (counted, not wedged).
+BACKOFF_US = 100.0
+MAX_RETRIES = 4
 
 # Element kinds in "dead" broadcast messages.
 EKIND_PORT = 0      # (switch, trunk, lane)
@@ -138,16 +145,7 @@ class RecoveryManager:
         self.seed = plan.seed if plan is not None else 0
         self.hb = cfg.hb_interval_us
         self.detect_timeout = cfg.detect_timeout_us
-        # The broadcast must honor the conservative window lookahead.
-        self.ctrl_delay = max(cfg.ctrl_delay_us or 0.0,
-                              fabric.prop_delay_us)
-        self.setup_hop_us = (cfg.setup_rtt_per_hop_us
-                             if cfg.setup_rtt_per_hop_us is not None
-                             else 2.0 * fabric.prop_delay_us)
-        self.backoff_us = cfg.backoff_us
-        self.max_retries = cfg.max_retries
         self.probes_sent = 0
-        #
 
         self._elements: list[_Element] = []     # owned by this shard
         self._records: dict[tuple, dict] = {}   # declared, replicated
@@ -237,7 +235,8 @@ class RecoveryManager:
                 else ("rcvl", el.a, el.b))
         msg = ("dead", el.ekind, el.a, el.b, el.c,
                float(el.fail_at), float(now))
-        self.fabric._broadcast_recovery(now + self.ctrl_delay, chan, msg)
+        self.fabric._broadcast_recovery(now + self.fabric.prop_delay_us,
+                                        chan, msg)
 
     # -- reroute (replicated on every shard) ----------------------------------------
 
@@ -298,17 +297,17 @@ class RecoveryManager:
                 new_vci, fabric._interswitch[(a, b)], new_vci)
         fabric.switches[d_sw].add_route(new_vci, d_trunk, d.out_vci)
         d.pending = (new_vci, path)
-        settle = self.setup_hop_us * max(1, len(path))
+        settle = 2.0 * fabric.prop_delay_us * max(1, len(path))
         fabric.sim.call_at(fabric.sim.now + settle,
                            lambda: self._activate(d, k),
                            key=("rcva", d.orig_vci, k))
 
     def _retry(self, d: _Direction, k: int) -> None:
         d.pending = None
-        if k + 1 >= self.max_retries:
+        if k + 1 >= MAX_RETRIES:
             d.status = "no_path"
             return
-        delay = self.backoff_us * (1 << k)
+        delay = BACKOFF_US * (1 << k)
         self.fabric.sim.call_at(self.fabric.sim.now + delay,
                                 lambda: self._attempt(d, k + 1),
                                 key=("rcvr", d.orig_vci, k + 1))
@@ -434,8 +433,8 @@ def summarize_recovery(cfg: RecoveryConfig, combined: dict) -> dict:
         "mode": cfg.mode,
         "hb_interval_us": cfg.hb_interval_us,
         "detect_timeout_us": cfg.detect_timeout_us,
-        "backoff_us": cfg.backoff_us,
-        "max_retries": cfg.max_retries,
+        "backoff_us": BACKOFF_US,
+        "max_retries": MAX_RETRIES,
         "probes_sent": combined["probes_sent"],
         "counters": {
             "elements_failed": len(combined["elements"]),
@@ -454,4 +453,4 @@ def summarize_recovery(cfg: RecoveryConfig, combined: dict) -> dict:
 
 
 __all__ = ["RecoveryManager", "combine_partials", "summarize_recovery",
-           "EKIND_PORT", "EKIND_LANE"]
+           "EKIND_PORT", "EKIND_LANE", "BACKOFF_US", "MAX_RETRIES"]

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import (
     Fabric, WorkloadSpec, client_rng, collect, pattern_flows, run_workload,
 )
+from repro.cluster.workloads import RPC_SERVICE_US
 from repro.hw import DS5000_200
 from repro.sim import SimulationError
 
@@ -88,7 +89,7 @@ def test_rpc_workload_closed_loop():
         assert client.bytes_received == 4 * 8192
         assert len(client.latencies_us) == 4
     summary = result.summary()
-    assert summary["latency_us"]["min"] > spec.rpc_service_us
+    assert summary["latency_us"]["min"] > RPC_SERVICE_US
 
 
 def test_rpc_mix_includes_writes():
