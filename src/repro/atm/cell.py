@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..hw.specs import AAL_PAYLOAD_BYTES, ATM_CELL_BYTES
+from ..hw.specs import AAL_PAYLOAD_BYTES
 
 
 @dataclass(slots=True)
@@ -74,11 +74,6 @@ class Cell:
         c.efci = efci
         c.corrupted = self.corrupted
         return c
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes occupied on the wire (full 53-byte cell)."""
-        return ATM_CELL_BYTES
 
     def __repr__(self) -> str:
         flags = "".join([

@@ -586,9 +586,6 @@ class CellSwitch:
 
     # -- observability --------------------------------------------------------------
 
-    def port_depths(self, trunk_id: int) -> list[int]:
-        return [p.depth for p in self._trunks[trunk_id]]
-
     def queued_cells(self) -> int:
         """Cells currently inside the switch (queued or draining)."""
         return sum(p.cells_held

@@ -33,8 +33,6 @@ from typing import Any, Generator, Optional
 
 from ..sim import Delay, Signal, SimulationError, Simulator
 
-BACKPRESSURE_MODES = ("none", "credit", "efci")
-
 
 @dataclass
 class _FlowGate:
@@ -267,4 +265,4 @@ class CreditGate:
         }
 
 
-__all__ = ["CreditGate", "BACKPRESSURE_MODES"]
+__all__ = ["CreditGate"]

@@ -138,13 +138,6 @@ class DataCache:
                 del lines[index]
         return words
 
-    def invalidate_all(self) -> None:
-        """Full cache flush (the DS's cache-swap instruction)."""
-        self._lines.clear()
-
-    def resident_lines(self) -> int:
-        return len(self._lines)
-
     def is_cached(self, addr: int) -> bool:
         index, tag, _ = self._split(addr)
         cached = self._lines.get(index)

@@ -64,7 +64,6 @@ class CacheSpec:
     coherent_with_dma: bool
     # (paper) partial invalidation costs ~1 CPU cycle per 32-bit word.
     invalidate_cycles_per_word: float = 1.0
-    miss_penalty_us: float = 0.0           # per-line fill beyond bus time
 
 
 @dataclass(frozen=True)
@@ -173,12 +172,6 @@ class BoardSpec:
     rx_cell_us: float = 0.55               # header inspection + command
     rx_dma_queue_depth: int = 4            # outstanding DMA commands
     interrupt_assert_us: float = 1.0
-
-    # Dual-port memory access cost for the *host* across the TC
-    # ("accesses to the dual-port memory across the TURBOchannel are
-    # expensive" -- section 2.1).
-    host_word_read_cycles: int = 13
-    host_word_write_cycles: int = 8
 
 
 ATM_CELL_BYTES = 53

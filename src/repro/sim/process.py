@@ -79,10 +79,6 @@ class Signal:
         self._subscribers: tuple[Callable[[Any], None], ...] = ()
         self.fire_count = 0
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
         self._waiters.append(resume)
 
