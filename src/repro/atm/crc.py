@@ -47,11 +47,6 @@ try:  # accelerated path for long PDUs; equality with the table-driven
 except ImportError:  # pragma: no cover
     _zlib = None
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 def fast_crc32(data: bytes, crc: int = 0) -> int:
     """CRC-32 identical to :func:`crc32`, using zlib when available.
@@ -66,16 +61,20 @@ def fast_crc32(data: bytes, crc: int = 0) -> int:
 
 
 def fast_internet_checksum(data: bytes) -> int:
-    """Internet checksum identical to :func:`internet_checksum`,
-    vectorised with numpy for long buffers."""
-    if _np is None or len(data) < 512:
-        return internet_checksum(data)
-    buf = data if len(data) % 2 == 0 else data + b"\x00"
-    words = _np.frombuffer(buf, dtype=">u2").astype(_np.uint64)
-    total = int(words.sum())
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    """Internet checksum identical to :func:`internet_checksum`, in
+    one big-integer pass: the hot-path variant every protocol calls.
+
+    2**16 is 1 modulo 0xFFFF, so the buffer read as one big-endian
+    integer is congruent to the sum of its 16-bit words, and the
+    end-around-carry fold of that sum is its residue, taken in
+    1..0xFFFF (the fold of a non-zero sum is never 0).
+    """
+    total = int.from_bytes(data, "big")
+    if len(data) % 2:
+        total <<= 8                     # pad the odd byte to a word
+    if not total:
+        return 0xFFFF
+    return 0xFFFF - (total % 0xFFFF or 0xFFFF)
 
 
 def internet_checksum(data: bytes, initial: int = 0) -> int:
@@ -94,15 +93,7 @@ def internet_checksum(data: bytes, initial: int = 0) -> int:
 
 def verify_internet_checksum(data: bytes) -> bool:
     """True when ``data`` (including its checksum field) sums to zero."""
-    total = 0
-    length = len(data)
-    for i in range(0, length - 1, 2):
-        total += (data[i] << 8) | data[i + 1]
-    if length % 2:
-        total += data[-1] << 8
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total == 0xFFFF
+    return fast_internet_checksum(data) == 0
 
 
 __all__ = ["crc32", "fast_crc32", "internet_checksum",

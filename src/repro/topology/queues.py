@@ -17,6 +17,9 @@ the drain and admission paths need is O(1) amortized:
   re-enqueued VCI joins at the *back* with a fresh generation (the
   rotation position an eager ``deque.remove``, itself O(active VCIs),
   would have produced).
+* A drained queue gives its memory back, as FORTH's free list does:
+  only a VCI with cells queued holds a deque, and only one a ring
+  entry still names holds a generation.
 * ``longest()`` / ``drop_tail()`` -- an **occupancy index** maps each
   backlog length to the set of VCIs currently at that length
   (insertion-ordered, so the choice is deterministic).  A queue's
@@ -89,16 +92,15 @@ class ActiveQueueIndex:
     """Per-VCI cell queues with O(1) drain, FIFO, and longest-queue
     operations, independent of how many VCIs are live."""
 
-    __slots__ = ("_cells", "_ring", "_in_ring", "_gen", "_order",
-                 "_buckets", "_maxlen", "depth")
+    __slots__ = ("_cells", "_ring", "_gen", "_order", "_buckets",
+                 "_maxlen", "depth")
 
     def __init__(self) -> None:
-        self._cells: dict = {}      # vci -> deque of cells
+        self._cells: dict = {}      # vci -> non-empty deque of cells
         # rr rotation order: (vci, generation) entries.  An entry is
-        # live iff the VCI is marked in-ring AND carries its current
-        # generation; anything else is stale and skipped on pop.
+        # live iff it carries the VCI's current generation AND the VCI
+        # holds cells; anything else is stale and skipped on pop.
         self._ring: deque = deque()
-        self._in_ring: dict = {}
         self._gen: dict = {}
         self._order: deque = deque()  # fifo: one VCI entry per cell
         # occupancy index: backlog length -> {vci: None} at that
@@ -130,13 +132,12 @@ class ActiveQueueIndex:
         queue = self._cells.get(vci)
         if queue is None:
             queue = self._cells[vci] = deque()
+            if not fifo:
+                gen = self._gen.get(vci, 0) + 1
+                self._gen[vci] = gen
+                self._ring.append((vci, gen))
         if fifo:
             self._order.append(vci)
-        elif not self._in_ring.get(vci):
-            gen = self._gen.get(vci, 0) + 1
-            self._gen[vci] = gen
-            self._ring.append((vci, gen))
-            self._in_ring[vci] = True
         queue.append(cell)
         length = len(queue)
         self._reindex(vci, length - 1, length)
@@ -149,14 +150,19 @@ class ActiveQueueIndex:
         """(vci, cell) under round-robin service, or None when idle."""
         while self._ring:
             vci, gen = self._ring.popleft()
-            if not self._in_ring.get(vci) or gen != self._gen[vci]:
-                continue                # stale: emptied by push-out
-            queue = self._cells[vci]
+            if gen != self._gen[vci]:
+                continue                # stale: re-enqueued since
+            # The VCI's newest entry: its older ones were popped first.
+            queue = self._cells.get(vci)
+            if queue is None:           # stale: emptied by push-out
+                del self._gen[vci]
+                continue
             cell = queue.popleft()
             if queue:
                 self._ring.append((vci, gen))  # rotate to the back
             else:
-                self._in_ring[vci] = False
+                del self._cells[vci]
+                del self._gen[vci]
             self._reindex(vci, len(queue) + 1, len(queue))
             self.depth -= 1
             return vci, cell
@@ -169,6 +175,8 @@ class ActiveQueueIndex:
         vci = self._order.popleft()
         queue = self._cells[vci]
         cell = queue.popleft()
+        if not queue:
+            del self._cells[vci]
         self._reindex(vci, len(queue) + 1, len(queue))
         self.depth -= 1
         return vci, cell
@@ -198,7 +206,7 @@ class ActiveQueueIndex:
         queue = self._cells[vci]
         cell = queue.pop()
         if not queue:
-            self._in_ring[vci] = False
+            del self._cells[vci]
         self._reindex(vci, len(queue) + 1, len(queue))
         self.depth -= 1
         return cell

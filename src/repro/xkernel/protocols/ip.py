@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Generator
 
-from ...atm.crc import internet_checksum
+from ...atm.crc import fast_internet_checksum as internet_checksum
 from ...hw.cpu import HostCPU
 from ...sim import SimulationError
 from ..message import Message
