@@ -71,7 +71,8 @@ class ClusterConfig:
     switches: int = field(default=1, metadata={
         "help": "cell switches for --topology switched"})
     pods: int = field(default=4, metadata={
-        "help": "leaf switches for --topology clos"})
+        "help": "leaf switches for --topology clos, at most --hosts (so "
+                "a Clos of fewer than 4 hosts needs a smaller --pods)"})
     oversub: float = field(default=2.0, metadata={
         "help": "Clos oversubscription ratio (leaves : spines)"})
     dims: Optional[str] = field(default=None, metadata={
@@ -160,6 +161,25 @@ class ClusterConfig:
             if value < least:
                 raise ConfigError(
                     f"{flag(name)} must be >= {least}, got {value}")
+        # The generators would shrink these to --hosts unasked.
+        for name, topology in (("switches", "switched"), ("pods", "clos")):
+            value = getattr(self, name)
+            if self.topology == topology and value > self.hosts:
+                raise ConfigError(
+                    f"{flag(name)} must be <= --hosts ({self.hosts}) for "
+                    f"--topology {topology}, got {value}")
+        if self.topology == "direct":
+            if self.hosts != 2:
+                raise ConfigError(
+                    f"--hosts must be 2 for --topology direct (two hosts "
+                    f"back-to-back), got {self.hosts}")
+            for name, given in (("shards", self.shards > 1),
+                                ("trace_out", self.trace_out)):
+                if given:
+                    raise ConfigError(
+                        f"{flag(name)} cannot be combined with --topology "
+                        "direct (a sharded run cuts the fabric at switch "
+                        "trunks, and direct has none)")
         for name, zero_ok in (("oversub", False),
                               ("rate", True),           # 0 = unpaced
                               ("hb_interval", False),

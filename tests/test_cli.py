@@ -160,6 +160,15 @@ def test_figure_json_output(capsys):
     (["--topology", "clos", "--pods", "0"], "--pods"),
     (["--topology", "clos", "--oversub", "nan"], "--oversub"),
     (["--topology", "clos", "--oversub", "0"], "--oversub"),
+    (["--switches", "100", "--hosts", "4"], "--switches"),
+    (["--topology", "clos", "--pods", "100", "--hosts", "8"], "--pods"),
+    (["--topology", "clos", "--hosts", "3"], "--pods"),
+    (["--topology", "direct", "--hosts", "4"], "--hosts"),
+    (["--topology", "direct", "--hosts", "2", "--shards", "2"], "--shards"),
+    (["--topology", "direct", "--hosts", "2", "--shards", "2",
+      "--shard-backend", "inline"], "--shards"),
+    (["--topology", "direct", "--hosts", "2", "--trace-out",
+      "no-such-dir/t.json"], "--trace-out"),
 ], ids=("shards-zero", "shards-negative", "credit-window-zero",
         "size-zero", "rate-negative", "sweep-not-a-number",
         "sweep-negative", "sweep-sharded", "sweep-traced",
@@ -167,7 +176,10 @@ def test_figure_json_output(capsys):
         "regen-timeout-negative", "watchdog-negative", "hb-interval-nan",
         "hb-interval-zero", "detect-timeout-negative",
         "detect-timeout-inf", "hosts-zero", "hosts-one",
-        "switches-zero", "pods-zero", "oversub-nan", "oversub-zero"))
+        "switches-zero", "pods-zero", "oversub-nan", "oversub-zero",
+        "switches-above-hosts", "pods-above-hosts",
+        "default-pods-above-hosts", "direct-hosts-four",
+        "direct-sharded-proc", "direct-sharded-inline", "direct-traced"))
 def test_cluster_rejects_bad_input_naming_the_flag(argv, flag):
     """Inputs the model would silently misread (no sharding, no
     pacing, a run that sends nothing), trip over mid-run or reject
