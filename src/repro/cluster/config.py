@@ -161,7 +161,7 @@ class ClusterConfig:
             if value < least:
                 raise ConfigError(
                     f"{flag(name)} must be >= {least}, got {value}")
-        # The generators would shrink these to --hosts unasked.
+        # The generators reject these too, but without naming a flag.
         for name, topology in (("switches", "switched"), ("pods", "clos")):
             value = getattr(self, name)
             if self.topology == topology and value > self.hosts:

@@ -6,6 +6,15 @@ lazy-invalidation experiment of section 2.3 depends on this: a UDP
 checksum computed over a stale read must actually fail, triggering the
 invalidate-and-retry path.
 
+The cache's two RAMs are held flat, as the hardware holds them: a tag
+image of one 32-bit slot per line (the line's tag plus one, 0 for an
+empty line), then a ``size_bytes`` line image with line ``i`` at
+``i * line_bytes``.  Both live in one private anonymous mapping, so an
+unused cache reads as empty from the kernel's zero page and a host pays
+resident memory only for the pages its run fills: a few pages for a
+cluster host that touches a handful of lines, the whole 2.25 MB for a
+DEC 3000 rig that sweeps its cache.
+
 Timing is not charged here; the per-machine cost constants in
 :class:`repro.hw.specs.SoftwareCosts` carry it.  This class answers the
 *correctness* questions: which bytes does the CPU see, and how many
@@ -15,7 +24,7 @@ words does an invalidation touch.
 from __future__ import annotations
 
 from ..sim import SimulationError
-from .memory import PhysicalMemory
+from .memory import PhysicalMemory, _zeroed
 from .specs import CacheSpec
 
 
@@ -28,19 +37,15 @@ class DataCache:
         self.spec = spec
         self.memory = memory
         self.n_lines = spec.size_bytes // spec.line_bytes
-        # index -> (tag, line bytes)
-        self._lines: dict[int, tuple[int, bytes]] = {}
+        # Tags first, as tag + 1 with 0 for an empty line; then line i
+        # at self._first + i * line_bytes.
+        self._first = 4 * self.n_lines
+        self._image = _zeroed(self._first + spec.size_bytes)
+        self._tags = memoryview(self._image)[:self._first].cast("I")
         self.hits = 0
         self.misses = 0
         self.invalidated_words = 0
         self.stale_reads = 0
-
-    def _split(self, addr: int) -> tuple[int, int, int]:
-        line = self.spec.line_bytes
-        index = (addr // line) % self.n_lines
-        tag = addr // (line * self.n_lines)
-        offset = addr % line
-        return index, tag, offset
 
     # -- CPU side ----------------------------------------------------------
 
@@ -50,7 +55,9 @@ class DataCache:
             return b""
         line = self.spec.line_bytes
         n_lines = self.n_lines
-        lines = self._lines
+        tags = self._tags
+        image = self._image
+        first = self._first
         start = addr - addr % line
         end = addr + nbytes
         # One memory read covers every line the load touches: the
@@ -61,20 +68,22 @@ class DataCache:
         while pos < end:
             number, offset = divmod(pos, line)
             index = number % n_lines
-            tag = number // n_lines
+            tag = number // n_lines + 1
             take = min(line - offset, end - pos)
-            at = pos - offset - start
-            cached = lines.get(index)
-            if cached is not None and cached[0] == tag:
+            at = pos - start
+            data = fresh[at:at + take]
+            if tags[index] == tag:
                 self.hits += 1
-                data = cached[1][offset:offset + take]
-                if data != fresh[at + offset:at + offset + take]:
+                base = first + index * line + offset
+                cached = image[base:base + take]
+                if cached != data:
                     self.stale_reads += 1
+                    data = cached
             else:
                 self.misses += 1
-                fill = fresh[at:at + line]
-                lines[index] = (tag, fill)
-                data = fill[offset:offset + take]
+                tags[index] = tag
+                base = first + index * line
+                image[base:base + line] = fresh[at - offset:at - offset + line]
             out += data
             pos += take
         return bytes(out)
@@ -100,22 +109,23 @@ class DataCache:
     def _merge(self, addr: int, data: bytes, fill_missing: bool) -> None:
         line = self.spec.line_bytes
         n_lines = self.n_lines
-        lines = self._lines
+        tags = self._tags
+        image = self._image
+        first = self._first
         pos = addr
         end = addr + len(data)
         while pos < end:
             number, offset = divmod(pos, line)
             index = number % n_lines
-            tag = number // n_lines
+            tag = number // n_lines + 1
             take = min(line - offset, end - pos)
-            cached = lines.get(index)
-            if cached is not None and cached[0] == tag:
-                content = bytearray(cached[1])
-                content[offset:offset + take] = \
+            base = first + index * line
+            if tags[index] == tag:
+                image[base + offset:base + offset + take] = \
                     data[pos - addr:pos - addr + take]
-                lines[index] = (tag, bytes(content))
             elif fill_missing:
-                lines[index] = (tag, self.memory.read(pos - offset, line))
+                tags[index] = tag
+                image[base:base + line] = self.memory.read(pos - offset, line)
             pos += take
 
     # -- maintenance ---------------------------------------------------------
@@ -130,18 +140,18 @@ class DataCache:
         self.invalidated_words += words
         line = self.spec.line_bytes
         n_lines = self.n_lines
-        lines = self._lines
+        tags = self._tags
         for number in range(addr // line, -(-(addr + nbytes) // line)):
             index = number % n_lines
-            cached = lines.get(index)
-            if cached is not None and cached[0] == number // n_lines:
-                del lines[index]
+            if tags[index] == number // n_lines + 1:
+                tags[index] = 0
         return words
 
     def is_cached(self, addr: int) -> bool:
-        index, tag, _ = self._split(addr)
-        cached = self._lines.get(index)
-        return cached is not None and cached[0] == tag
+        number = addr // self.spec.line_bytes
+        # Just below address 0, tag + 1 is 0: the empty mark.
+        return addr >= 0 and \
+            self._tags[number % self.n_lines] == number // self.n_lines + 1
 
 
 __all__ = ["DataCache"]

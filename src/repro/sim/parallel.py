@@ -143,10 +143,11 @@ def _serve(factory: Callable, index: int, recv: Callable,
             if reply is None:
                 return
             send(reply)
-    except Exception:  # every failure is relayed to the coordinator
+    except Exception as exc:  # every failure is relayed to the coordinator
         import traceback
         try:
-            send(("error", index, traceback.format_exc()))
+            send(("error", index, f"{type(exc).__name__}: {exc}",
+                  traceback.format_exc()))
         except Exception:
             pass
 
@@ -161,8 +162,9 @@ class _Channel:
     def recv(self) -> tuple:
         reply = self._recv()
         if reply[0] == "error":
-            raise SimulationError(
-                f"shard {reply[1]} failed:\n{reply[2]}")
+            error = SimulationError(f"shard {reply[1]} failed: {reply[2]}")
+            error.worker_traceback = reply[3]   # the worker's, formatted
+            raise error
         return reply
 
     def _recv(self) -> tuple:

@@ -30,7 +30,9 @@ def switched_spec(n_hosts: int, n_switches: int = 1) -> TopologySpec:
     """The seed shape: full-meshed flat switches, round-robin hosts."""
     if n_switches < 1:
         raise SimulationError("need at least one switch")
-    n_switches = min(n_switches, n_hosts)
+    if n_switches > n_hosts:
+        raise SimulationError(
+            f"n_switches must be <= n_hosts ({n_hosts}), got {n_switches}")
     links = [(s, t)
              for s in range(n_switches)
              for t in range(n_switches) if s != t]
@@ -56,7 +58,9 @@ def clos_spec(n_hosts: int, pods: int = 4,
     if oversubscription <= 0.0:
         raise SimulationError(
             f"oversubscription must be positive, got {oversubscription}")
-    pods = min(pods, n_hosts)
+    if pods > n_hosts:
+        raise SimulationError(
+            f"clos needs pods <= n_hosts ({n_hosts}), got {pods}")
     attach = tuple(i * pods // n_hosts for i in range(n_hosts))
     if pods == 1:
         return TopologySpec(

@@ -99,6 +99,25 @@ def test_worker_exception_surfaces_with_shard_index():
         run_shards(lambda i: Boom(i, 2, 4), 2, W, backend="proc")
 
 
+def test_proc_worker_failure_reads_as_one_line():
+    """A proc shard's error is one line that carries the inline
+    backend's text; the worker's traceback rides on an attribute."""
+    from repro.cluster import WorkloadSpec, run_cluster_sharded
+    from repro.hw import DS5000_200
+
+    kwargs = {"machines": DS5000_200, "n_hosts": 2, "topology": "direct"}
+    with pytest.raises(SimulationError) as inline:
+        run_cluster_sharded(kwargs, WorkloadSpec(), 2, backend="inline")
+    with pytest.raises(SimulationError) as proc:
+        run_cluster_sharded(kwargs, WorkloadSpec(), 2, backend="proc")
+    text = str(inline.value)
+    assert "switched topology" in text
+    assert str(proc.value) == f"shard 0 failed: SimulationError: {text}"
+    assert "\n" not in str(proc.value)
+    assert proc.value.worker_traceback.startswith("Traceback")
+    assert text in proc.value.worker_traceback
+
+
 def test_engine_rejects_bad_parameters():
     with pytest.raises(SimulationError):
         run_shards(lambda i: _ring(i), 2, 0.0)

@@ -51,7 +51,8 @@ def test_switched_spec_reproduces_seed_wiring():
     assert spec.switch_names == ("sw0", "sw1")
     assert spec.host_attach == (0, 1, 0, 1, 0)
     assert spec.links == ((0, 1), (1, 0))
-    assert switched_spec(4, 9).n_switches == 4  # clamped to hosts
+    with pytest.raises(SimulationError, match="n_switches"):
+        switched_spec(4, 9)                     # never clamped to hosts
 
 
 def test_clos_shape():
@@ -168,6 +169,35 @@ def test_route_tables_complete_all_pairs(kw):
                 here = idx
                 hops += 1
                 assert hops <= fabric.topo.n_switches, "routing loop"
+
+
+@pytest.mark.parametrize("kw,name,asked", [
+    (dict(n_hosts=4, n_switches=100), "n_switches", 100),
+    (dict(n_hosts=4, n_switches=5), "n_switches", 5),
+    (dict(n_hosts=8, topology="clos", pods=100), "pods", 100),
+    (dict(n_hosts=3, topology="clos"), "pods", 4),     # the default pods
+], ids=["switches-100", "switches-5", "pods-100", "default-pods"])
+def test_fabric_rejects_more_switches_than_hosts(kw, name, asked):
+    """Built through the API, a fabric is the one its arguments state
+    or an error that names the argument; the generators never shrink
+    a switch or pod count to the host count."""
+    from repro.cluster import Fabric
+    from repro.hw.specs import DS5000_200
+
+    message = rf"{name} .*\({kw['n_hosts']}\), got {asked}$"
+    with pytest.raises(SimulationError, match=message):
+        Fabric(DS5000_200, **kw)
+
+
+def test_fabric_keeps_switch_and_pod_counts_up_to_hosts():
+    from repro.cluster import Fabric
+    from repro.hw.specs import DS5000_200
+
+    assert Fabric(DS5000_200, n_hosts=4, n_switches=4).topo.n_switches == 4
+    leaves = [name for name in Fabric(DS5000_200, n_hosts=4, topology="clos",
+                                      pods=4).topo.switch_names
+              if name.startswith("leaf")]
+    assert len(leaves) == 4
 
 
 # -- partitioning ----------------------------------------------------------
