@@ -8,14 +8,12 @@ JSON document::
     python benchmarks/bench_cluster_scale.py --out BENCH_cluster_scale.json
 
 Speedup is wall time of the plain run over wall time of the sharded
-run at the same host count.  ``cpu_count`` is recorded alongside the
-numbers: with fewer cores than shards the proc backend cannot beat
-the serial run, and the honest expectation is overhead, not speedup
-(on a 1-CPU machine the column is withheld as ``null``).  The sync
-cost scales with the number of windows: shards that provably cannot
-emit boundary messages stop bounding their peers' horizons, so the
-pairs sweep -- whose min-cut sharding colocates every flow --
-collapses to a single window.
+run at the same host count.  Every shard runs in the calling process,
+so the column reads the engine's overhead: the sync cost scales with
+the number of windows, and shards that provably cannot emit boundary
+messages stop bounding their peers' horizons, so the pairs sweep --
+whose min-cut sharding colocates every flow -- collapses to a single
+window.
 
 Each timed point runs ``--repeats`` times (default 3) with the GC
 collected and frozen around the timed region; the row reports the
@@ -31,19 +29,17 @@ per-cell events the run executed plus the ones the cell-train fast
 path folded into train events.  That makes the column comparable
 across all four row kinds (plain/sharded x train/no-train) -- a train
 run does the same model work in fewer heap operations, and the sweep
-asserts the model-event totals agree exactly.  Coordinator window
-probes never inflate the sharded rows by construction: probes run in
-the coordinator process, and ``events_processed`` sums only the
+asserts the model-event totals agree exactly.  Window probes never
+inflate the sharded rows: ``events_processed`` sums only the
 per-shard ``Simulator`` counters.
 
 The ``clos-all2all`` rows measure sharding where shards exchange
 cells: 16 hosts on a 4-leaf Clos with credit backpressure, every
 ordered pair sending 2 messages of 4 KB Poisson at 10 Mbps.  The run
-goes plain and over 2 shards on both backends, timed in the same
-interleaved rounds, and every sharded row must reproduce the plain
-report.  All2all crosses every min-cut, so these rows pay thousands of
-windows and tens of thousands of boundary messages -- the regime in
-which the proc backend has to beat the plain run to pay for itself.
+goes plain and over 2 shards, timed in the same interleaved rounds,
+and the sharded row must reproduce the plain report.  All2all crosses
+every min-cut, so the sharded row pays thousands of windows and tens
+of thousands of boundary messages.
 
 The ``burst-pairs`` rows measure the fast path itself: each PDU's
 cells submitted to its uplink in one event, and the destination edge
@@ -74,7 +70,6 @@ from repro.cluster.sharded import run_cluster_sharded      # noqa: E402
 from repro.hw.specs import (                               # noqa: E402
     AAL_PAYLOAD_BYTES, DS5000_200, STRIPE_LINKS,
 )
-from repro.sim.parallel import BACKENDS                    # noqa: E402
 
 EVENT_BUDGET = 200_000_000
 
@@ -174,7 +169,6 @@ def run_burst_point(args, n_hosts: int, trains: bool) -> dict:
     return {
         "workload": "burst-pairs", "hosts": n_hosts, "shards": 1,
         "train": trains,
-        "requested_backend": args.backend, "measured_backend": "plain",
         "wall_s": round(wall, 4),
         "events_processed": sim.events_processed,
         "events_absorbed": sim.events_absorbed,
@@ -202,15 +196,14 @@ def _one_plain(fabric_kwargs: dict, spec: WorkloadSpec) -> tuple:
                   "absorbed": fabric.sim.events_absorbed}
 
 
-def _one_sharded(fabric_kwargs: dict, spec: WorkloadSpec, n_shards: int,
-                 backend: str) -> tuple:
+def _one_sharded(fabric_kwargs: dict, spec: WorkloadSpec,
+                 n_shards: int) -> tuple:
     """One timed sharded run under a frozen GC."""
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
-        report, run = run_cluster_sharded(fabric_kwargs, spec, n_shards,
-                                          backend=backend)
+        report, run = run_cluster_sharded(fabric_kwargs, spec, n_shards)
         wall = time.perf_counter() - start
     finally:
         gc.enable()
@@ -251,24 +244,21 @@ def _timed_points(args, n_hosts: int) -> dict:
         if n_shards <= n_hosts:
             jobs[("shard", n_shards)] = functools.partial(
                 _one_sharded, _fabric_kwargs(args, n_hosts, True), spec,
-                n_shards, args.backend)
+                n_shards)
     return _timed(jobs, args.repeats)
 
 
 def _sharded_row(workload: str, n_hosts: int, n_shards: int,
-                 backend: str, repeats: int, point: dict, plain: dict,
-                 single_cpu: bool) -> dict:
+                 repeats: int, point: dict, plain: dict) -> dict:
     """One sharded row; exits if the run broke identity with the plain
     run or its model-event total disagrees."""
     wall, run = point["wall"], point["run"]
     model = run.events_processed + run.events_absorbed
     identical = point["json"] == plain["json"]
     speedup = plain["wall"] / wall
-    print(f"{workload} hosts={n_hosts:<3d} {backend} K={n_shards}  "
+    print(f"{workload} hosts={n_hosts:<3d} K={n_shards}  "
           f"{wall:6.2f}s  {model:>8d} model events  "
-          f"{run.windows:>6d} windows  "
-          + ("speedup n/a (1 cpu)" if single_cpu
-             else f"speedup {speedup:4.2f}x")
+          f"{run.windows:>6d} windows  speedup {speedup:4.2f}x"
           + ("" if identical else "  REPORT MISMATCH"))
     if not identical:
         raise SystemExit(
@@ -282,7 +272,6 @@ def _sharded_row(workload: str, n_hosts: int, n_shards: int,
     return {
         "workload": workload, "hosts": n_hosts, "shards": n_shards,
         "train": True,
-        "requested_backend": backend, "measured_backend": backend,
         "repeats": repeats,
         "wall_s": round(wall, 4),
         "events_processed": run.events_processed,
@@ -292,16 +281,13 @@ def _sharded_row(workload: str, n_hosts: int, n_shards: int,
         "windows": run.windows,
         "boundary_msgs": run.boundary_msgs,
         "boundary_bytes": run.boundary_bytes,
-        # On a 1-CPU box the shards time-slice one core; a "speedup"
-        # there would be measurement noise dressed up as a claim, so
-        # it is withheld.
-        "speedup_vs_plain": None if single_cpu else round(speedup, 3),
+        "speedup_vs_plain": round(speedup, 3),
         "identical_to_plain": identical,
     }
 
 
 def _plain_row(workload: str, n_hosts: int, trains: bool,
-               requested: str, repeats: int, plain: dict) -> dict:
+               repeats: int, plain: dict) -> dict:
     wall = plain["wall"]
     print(f"{workload} hosts={n_hosts:<3d} plain "
           f"{'train   ' if trains else 'no-train'} {wall:6.2f}s  "
@@ -309,7 +295,6 @@ def _plain_row(workload: str, n_hosts: int, trains: bool,
     return {
         "workload": workload, "hosts": n_hosts, "shards": 1,
         "train": trains,
-        "requested_backend": requested, "measured_backend": "plain",
         "repeats": repeats,
         "wall_s": round(wall, 4),
         "events_processed": plain["processed"],
@@ -321,37 +306,30 @@ def _plain_row(workload: str, n_hosts: int, trains: bool,
     }
 
 
-def run_crossing(args, single_cpu: bool) -> list:
-    """The Clos all2all point, plain and over 2 shards on every
-    backend, timed in interleaved rounds."""
+def run_crossing(args) -> list:
+    """The Clos all2all point, plain and over 2 shards, timed in
+    interleaved rounds."""
     kwargs, spec = _crossing_kwargs(args), _crossing_spec(args)
     n_hosts, n_shards = CROSSING["hosts"], CROSSING["shards"]
-    jobs = {"plain": functools.partial(_one_plain, kwargs, spec)}
-    for backend in BACKENDS:
-        jobs[backend] = functools.partial(_one_sharded, kwargs, spec,
-                                          n_shards, backend)
-    timed = _timed(jobs, args.repeats)
+    timed = _timed({
+        "plain": functools.partial(_one_plain, kwargs, spec),
+        "sharded": functools.partial(_one_sharded, kwargs, spec,
+                                     n_shards)}, args.repeats)
     plain = timed["plain"]
-    points = [_plain_row("clos-all2all", n_hosts, True, args.backend,
-                         args.repeats, plain)]
-    for backend in BACKENDS:
-        points.append(_sharded_row(
-            "clos-all2all", n_hosts, n_shards, backend, args.repeats,
-            timed[backend], plain, single_cpu))
-    return points
+    return [_plain_row("clos-all2all", n_hosts, True, args.repeats, plain),
+            _sharded_row("clos-all2all", n_hosts, n_shards, args.repeats,
+                         timed["sharded"], plain)]
 
 
 def run_sweep(args) -> dict:
     points = []
-    single_cpu = (os.cpu_count() or 1) <= 1
     for n_hosts in args.hosts:
         timed = _timed_points(args, n_hosts)
         plain = {trains: timed[("plain", trains)]
                  for trains in (True, False)}
         for trains in (True, False):
             points.append(_plain_row("pairs", n_hosts, trains,
-                                     args.backend, args.repeats,
-                                     plain[trains]))
+                                     args.repeats, plain[trains]))
         if plain[True]["json"] != plain[False]["json"]:
             raise SystemExit(
                 "--train report diverged from --no-train -- the fast "
@@ -364,11 +342,10 @@ def run_sweep(args) -> dict:
         for n_shards in args.shards:
             if n_shards <= n_hosts:
                 points.append(_sharded_row(
-                    "pairs", n_hosts, n_shards, args.backend,
-                    args.repeats, timed[("shard", n_shards)],
-                    plain[True], single_cpu))
+                    "pairs", n_hosts, n_shards, args.repeats,
+                    timed[("shard", n_shards)], plain[True]))
 
-    points.extend(run_crossing(args, single_cpu))
+    points.extend(run_crossing(args))
 
     train_ratios = []
     for n_hosts in args.hosts:
@@ -393,7 +370,7 @@ def run_sweep(args) -> dict:
                              "events_per_s_ratio": ratio})
         print(f"hosts={n_hosts:<3d} burst train speedup {ratio:.1f}x")
 
-    document = {
+    return {
         "benchmark": "cluster_scale",
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
@@ -403,15 +380,11 @@ def run_sweep(args) -> dict:
             "burst_pdus": args.burst_pdus,
             "prop_delay_us": args.prop_delay, "seed": args.seed,
             "repeats": args.repeats,
-            "requested_backend": args.backend,
             "crossing": CROSSING,
         },
         "points": points,
         "train_speedup": train_ratios,
     }
-    if single_cpu:
-        document["warning"] = "cpu_count==1"
-    return document
 
 
 def main(argv=None) -> int:
@@ -421,7 +394,6 @@ def main(argv=None) -> int:
                         s.split(",")], default=[8, 16])
     parser.add_argument("--shards", type=lambda s: [int(x) for x in
                         s.split(",")], default=[2, 4])
-    parser.add_argument("--backend", default="proc", choices=BACKENDS)
     parser.add_argument("--messages", type=int, default=8)
     parser.add_argument("--size", type=int, default=8192)
     parser.add_argument("--burst-pdus", type=int, default=64,

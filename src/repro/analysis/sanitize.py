@@ -213,9 +213,8 @@ def enable() -> None:
     """Install the queue-pointer hook and simulator sanitizer factory.
 
     Idempotent; affects queues touched and simulators *constructed*
-    after the call.  With the ``proc`` shard backend each worker
-    enables independently (see ``cluster.sharded._build_shard``), so
-    fork timing never matters.
+    after the call, so a sharded run enables it once, before it builds
+    any shard (see ``cluster.sharded.run_cluster_sharded``).
     """
     global _enabled
     from ..osiris import queues as _queues

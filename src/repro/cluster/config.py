@@ -1,8 +1,8 @@
 """One cluster run, stated once.
 
 A :class:`ClusterConfig` has one field per ``repro cluster`` flag,
-named after its argparse destination (``shard_backend`` is
-``--shard-backend``), with the only copy of the flag's default,
+named after its argparse destination (``trace_out`` is
+``--trace-out``), with the only copy of the flag's default,
 choices and help text.  It validates once, on construction: every
 error is a :class:`ConfigError` that starts with its flag.  It builds
 the :class:`~repro.cluster.fabric.Fabric` keywords and the
@@ -22,7 +22,6 @@ from ..atm.switch import BACKPRESSURE_MODES, DRAIN_POLICIES
 from ..faults import FaultPlan
 from ..hw.specs import DEC3000_600, DS5000_200
 from ..recovery import RECOVERY_MODES, RecoveryConfig
-from ..sim.parallel import BACKENDS
 from ..topology import TOPOLOGIES, build_spec
 from .fabric import DEFAULT_TOPOLOGY, Fabric
 from .metrics import ClusterReport, collect
@@ -102,9 +101,6 @@ class ClusterConfig:
     shards: int = field(default=1, metadata={
         "help": "partition hosts across N simulators (the report is "
                 "byte-identical to --shards 1)"})
-    shard_backend: str = field(default="proc", metadata={
-        "help": "worker processes, or an in-process loop for debugging",
-        "choices": BACKENDS})
     trace_out: Optional[str] = field(default=None, metadata={
         "help": "record every cross-shard boundary message into a "
                 "happens-before trace for 'repro check --replay FILE' "
@@ -219,6 +215,11 @@ class ClusterConfig:
             except ValueError:
                 raise ConfigError(f"--dims must be X,Y,Z, got "
                                   f"{self.dims!r}") from None
+            # The torus generator rejects these too, but only when the
+            # run builds the fabric, and without naming the flag.
+            if min(dims) < 1:
+                raise ConfigError(f"--dims must be positive integers, "
+                                  f"got {self.dims!r}")
         plan = None
         if self.faults:
             # Resolve switch names (port=leaf0:...) and check every
@@ -241,8 +242,8 @@ class ClusterConfig:
         object.__setattr__(self, "_plan", plan)
 
     def fabric_kwargs(self) -> dict:
-        """The :class:`Fabric` keywords of this run (picklable, so a
-        proc-backend shard can rebuild its slice from them)."""
+        """The :class:`Fabric` keywords of this run; every shard of a
+        sharded run builds its slice from them."""
         return {
             "machines": MACHINE_NAMES[self.machine.lower()],
             "n_hosts": self.hosts, "n_switches": self.switches,
@@ -283,8 +284,8 @@ class ClusterConfig:
                                       self._rates)
         if self.shards > 1 or self.trace_out:
             report, _run = run_cluster_sharded(
-                kwargs, spec, self.shards, backend=self.shard_backend,
-                sanitize=self.sanitize, trace_path=self.trace_out)
+                kwargs, spec, self.shards, sanitize=self.sanitize,
+                trace_path=self.trace_out)
             return report
         fabric = Fabric(**kwargs)
         return collect(fabric, run_workload(fabric, spec,

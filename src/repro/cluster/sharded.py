@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..sim import SimulationError
-from ..sim.parallel import BACKENDS, ParallelRunResult, run_shards
+from ..sim.parallel import ParallelRunResult, run_shards
 from ..topology import partition_hosts, partition_switches
 from .fabric import DEFAULT_PROP_DELAY_US, DEFAULT_TOPOLOGY, Fabric
 from .metrics import ClusterReport, merge_partials
@@ -290,7 +290,7 @@ class _ShardProgram:
         return self.fabric.drain_outbox()
 
     def collect(self, t_end: float) -> dict:
-        """The shard's picklable contribution to the merged report.
+        """The shard's contribution to the merged report.
         The engine has already advanced the clock to ``t_end``, so
         host snapshots read the fabric-wide end time."""
         for finish in self.finishers:
@@ -305,22 +305,14 @@ class _ShardProgram:
     def probe(self) -> dict:
         """Conservation counters for the window-boundary sanitizer.
 
-        Cheap, picklable, read-only -- safe to take at any barrier
+        Cheap and read-only -- safe to take at any barrier
         (unlike :meth:`collect`, which finalizes clients).
         """
         return self.fabric.counters()
 
 
 def _build_shard(index: int, n_shards: int, fabric_kwargs: dict,
-                 spec: WorkloadSpec, sanitize: bool = False,
-                 trace: bool = False) -> _ShardProgram:
-    """Worker-side constructor (module-level so it crosses into a
-    child process)."""
-    if sanitize:
-        # Enable in the worker itself: with the proc backend this runs
-        # in the child, where the parent's hooks do not exist.
-        from ..analysis import sanitize as _sanitize
-        _sanitize.enable()
+                 spec: WorkloadSpec, trace: bool = False) -> _ShardProgram:
     fabric = ShardFabric(index, n_shards, hb_trace=trace,
                          **fabric_kwargs)
     clients, finishers = setup_workload(fabric, spec)
@@ -362,35 +354,37 @@ def _merge_clients(spec: WorkloadSpec, partials: list) -> list:
 
 def run_cluster_sharded(
         fabric_kwargs: dict, spec: WorkloadSpec, n_shards: int,
-        backend: str = "proc", sanitize: bool = False,
+        backend: str = "inline", sanitize: bool = False,
         trace_path=None,
 ) -> tuple[ClusterReport, ParallelRunResult]:
     """Run one cluster workload split across ``n_shards`` simulators.
 
     ``fabric_kwargs`` are exactly the keyword arguments a plain
-    :class:`Fabric` would take (they must be picklable for the proc
-    backend).  Returns the merged report plus the engine's run stats
-    (windows, boundary traffic, total events) for benchmarking.
-    ``sanitize`` enables the runtime sanitizers inside every shard
-    worker and re-checks the conservation law at each window barrier.
+    :class:`Fabric` would take.  Returns the merged report plus the
+    engine's run stats (windows, boundary traffic, total events) for
+    benchmarking.  ``backend`` accepts only ``"inline"``: every shard
+    runs in the calling process.  ``sanitize`` enables the runtime
+    sanitizers and re-checks the conservation law at each window
+    barrier.
     ``trace_path`` records every cross-shard boundary send and
     delivery into a happens-before trace document at that path, for
     ``repro check --replay`` (observation only; the report stays
     byte-identical).
     """
-    if backend not in BACKENDS:
+    if backend != "inline":
         raise SimulationError(
-            f"unknown shard backend {backend!r}; choose from {BACKENDS}")
+            f"unknown shard backend {backend!r}; shards run in-process "
+            "('inline')")
     window_us = fabric_kwargs.get("prop_delay_us", DEFAULT_PROP_DELAY_US)
     factory = functools.partial(_build_shard, n_shards=n_shards,
                                 fabric_kwargs=fabric_kwargs, spec=spec,
-                                sanitize=sanitize,
                                 trace=trace_path is not None)
     window_probe = None
     if sanitize:
-        from ..analysis.sanitize import check_window_conservation
-        window_probe = check_window_conservation
-    run = run_shards(factory, n_shards, window_us, backend=backend,
+        from ..analysis import sanitize as _sanitize
+        _sanitize.enable()
+        window_probe = _sanitize.check_window_conservation
+    run = run_shards(factory, n_shards, window_us,
                      window_probe=window_probe)
     partials = sorted(run.partials, key=lambda p: p["shard"])
     workload = WorkloadResult(spec=spec,

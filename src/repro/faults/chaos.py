@@ -33,7 +33,6 @@ from dataclasses import replace
 from typing import Optional
 
 from ..cluster.config import ClusterConfig
-from ..sim.parallel import BACKENDS
 
 
 def build_scenarios(seed: int = 1, quick: bool = True) -> list[dict]:
@@ -74,13 +73,12 @@ def build_scenarios(seed: int = 1, quick: bool = True) -> list[dict]:
 
 
 def run_scenario(scenario: dict, shard_counts: tuple[int, ...] = (1, 2),
-                 backend: str = "inline", sanitize: bool = False) -> dict:
+                 sanitize: bool = False) -> dict:
     """Run one scenario at every shard count and check the invariants.
     Returns a result dict with ``ok`` and a list of ``failures``; a
     failing scenario's list ends with the command that reproduces its
     first run."""
-    configs = [replace(scenario["config"], shards=k,
-                       shard_backend=backend, sanitize=sanitize)
+    configs = [replace(scenario["config"], shards=k, sanitize=sanitize)
                for k in shard_counts]
     # Invariants 1 and 2 below only mean anything on a run that
     # actually quiesced; the budget turns a stalled plain run into an
@@ -156,11 +154,24 @@ def run_scenario(scenario: dict, shard_counts: tuple[int, ...] = (1, 2),
 
 def run_matrix(seed: int = 1, quick: bool = True,
                shard_counts: tuple[int, ...] = (1, 2),
-               backend: str = "inline",
                sanitize: bool = False) -> list[dict]:
-    return [run_scenario(s, shard_counts=shard_counts, backend=backend,
-                         sanitize=sanitize)
+    return [run_scenario(s, shard_counts=shard_counts, sanitize=sanitize)
             for s in build_scenarios(seed=seed, quick=quick)]
+
+
+def _shard_counts(text: str) -> tuple[int, ...]:
+    """``--shards``: comma-separated shard counts, each at least 1."""
+    counts = []
+    for token in text.split(","):
+        try:
+            count = int(token)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise argparse.ArgumentTypeError(
+                f"shard count {token!r} is not an integer >= 1")
+        counts.append(count)
+    return tuple(counts)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -171,19 +182,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--quick", action="store_true",
                         help="smaller messages, fewer scenarios")
-    parser.add_argument("--shards", default="1,2",
+    parser.add_argument("--shards", type=_shard_counts, default="1,2",
                         help="comma-separated shard counts to compare")
-    parser.add_argument("--backend", default="inline", choices=BACKENDS)
     parser.add_argument("--sanitize", action="store_true",
                         help="enable the runtime sanitizers (SRSW, "
                              "monotone time, per-window conservation)")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
-    shard_counts = tuple(int(k) for k in args.shards.split(","))
     results = run_matrix(seed=args.seed, quick=args.quick,
-                         shard_counts=shard_counts,
-                         backend=args.backend, sanitize=args.sanitize)
+                         shard_counts=args.shards, sanitize=args.sanitize)
     if args.json:
         from ..bench.report import to_json
         print(to_json({"seed": args.seed, "scenarios": results}))

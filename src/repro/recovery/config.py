@@ -1,8 +1,7 @@
 """Configuration for the recovery control plane.
 
-A frozen value object so it pickles into ``fabric_kwargs`` for the
-sharded proc backend and hashes into cache keys, the same discipline
-as :class:`repro.topology.spec.TopologySpec`.
+A frozen value object so it hashes into cache keys, the same
+discipline as :class:`repro.topology.spec.TopologySpec`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel used by every model in the library."""
 
 from .core import NO_KEY, SimulationError, Simulator, Timer
-from .parallel import BACKENDS, ParallelRunResult, run_shards
+from .parallel import ParallelRunResult, run_shards
 from .process import (
     Delay, Interrupted, Latch, Process, Signal, all_of, spawn,
 )
@@ -10,7 +10,7 @@ from .trains import CellTrain
 
 __all__ = [
     "Simulator", "SimulationError", "Timer", "NO_KEY",
-    "run_shards", "ParallelRunResult", "BACKENDS",
+    "run_shards", "ParallelRunResult",
     "Delay", "Signal", "Latch", "Process", "Interrupted", "spawn", "all_of",
     "Resource", "Grant", "Store", "CellTrain",
 ]

@@ -13,8 +13,8 @@ node, same flat switch block -- therefore share a shard, and most
 pattern traffic stays intra-shard.
 
 Everything is a pure function of ``(spec, n_shards)``: every shard
-worker and the report merger recompute the identical assignment, no
-coordination or pickled side channel required.
+and the report merger recompute the identical assignment, no
+coordination required.
 """
 
 from __future__ import annotations

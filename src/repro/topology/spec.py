@@ -4,8 +4,8 @@ A :class:`TopologySpec` is everything the cluster fabric needs to wire
 itself: how many switches exist, which switch each host's striped
 uplink terminates at, and which directed inter-switch links carry
 trunk traffic.  The spec is a frozen value object -- pure tuples, no
-behavior-bearing references -- so it pickles across shard workers and
-hashes into cache keys, and every consumer (wiring, routing,
+behavior-bearing references -- so it hashes into cache keys, and
+every consumer (wiring, routing,
 partitioning, fault addressing) derives its view from the same
 declaration instead of re-encoding the shape.
 

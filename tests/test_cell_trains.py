@@ -67,8 +67,8 @@ def test_train_report_byte_identical(pattern, topology, faults,
         assert fabric.sim.events_absorbed > 0, \
             "the fast path never engaged; the test is vacuous"
     else:
-        report, _run = run_cluster_sharded(
-            kwargs, _spec(pattern), n_shards, backend="inline")
+        report, _run = run_cluster_sharded(kwargs, _spec(pattern),
+                                           n_shards)
         got = report.to_json()
     assert got == _baseline_json(pattern, topology, faults)
 
@@ -289,8 +289,7 @@ def test_shard_boundary_forbids_trains():
 
 def test_sharded_run_absorbs_events_on_local_segments():
     report, run = run_cluster_sharded(
-        _kwargs("switched", False, trains=True), _spec("pairs"), 2,
-        backend="inline")
+        _kwargs("switched", False, trains=True), _spec("pairs"), 2)
     assert run.events_absorbed > 0
     assert report.to_json() == _baseline_json("pairs", "switched",
                                               False)

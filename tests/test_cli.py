@@ -165,10 +165,9 @@ def test_figure_json_output(capsys):
     (["--topology", "clos", "--hosts", "3"], "--pods"),
     (["--topology", "direct", "--hosts", "4"], "--hosts"),
     (["--topology", "direct", "--hosts", "2", "--shards", "2"], "--shards"),
-    (["--topology", "direct", "--hosts", "2", "--shards", "2",
-      "--shard-backend", "inline"], "--shards"),
     (["--topology", "direct", "--hosts", "2", "--trace-out",
       "no-such-dir/t.json"], "--trace-out"),
+    (["--topology", "torus", "--dims", "0,2,2"], "--dims"),
 ], ids=("shards-zero", "shards-negative", "credit-window-zero",
         "size-zero", "rate-negative", "sweep-not-a-number",
         "sweep-negative", "sweep-sharded", "sweep-traced",
@@ -179,7 +178,7 @@ def test_figure_json_output(capsys):
         "switches-zero", "pods-zero", "oversub-nan", "oversub-zero",
         "switches-above-hosts", "pods-above-hosts",
         "default-pods-above-hosts", "direct-hosts-four",
-        "direct-sharded-proc", "direct-sharded-inline", "direct-traced"))
+        "direct-sharded", "direct-traced", "dims-zero"))
 def test_cluster_rejects_bad_input_naming_the_flag(argv, flag):
     """Inputs the model would silently misread (no sharding, no
     pacing, a run that sends nothing), trip over mid-run or reject
@@ -188,6 +187,21 @@ def test_cluster_rejects_bad_input_naming_the_flag(argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(["cluster", *argv])
     assert str(exc.value).startswith(f"cluster: {flag} ")
+
+
+@pytest.mark.parametrize("shards, token", [
+    ("x", "x"), ("1,,2", ""), ("0", "0"), ("1,-2", "-2"),
+], ids=("not-a-number", "empty-token", "zero", "negative"))
+def test_chaos_rejects_bad_shard_counts_naming_the_flag(shards, token,
+                                                         capsys):
+    """A bad ``--shards`` token fails at parse time, before any
+    scenario runs, with an argparse error naming the flag and the
+    token."""
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--quick", "--shards", shards])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --shards: shard count {token!r} " in err
 
 
 def test_help_lists_every_command(capsys):

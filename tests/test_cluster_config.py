@@ -34,13 +34,13 @@ def test_chaos_configs_round_trip_through_the_parser(seed, quick):
 def test_failing_scenario_ends_with_its_reproducer():
     # loss-corrupt runs no recovery, so expecting one must fail.
     scenario = dict(build_scenarios(seed=1)[0], expect_recovery=True)
-    result = run_scenario(scenario, shard_counts=(2,), backend="inline")
+    result = run_scenario(scenario, shard_counts=(2,))
     assert not result["ok"]
     prefix = "reproduce: python -m repro cluster "
     line = result["failures"][-1]
     assert line.startswith(prefix)
     assert _parse(shlex.split(line[len(prefix):])) == replace(
-        scenario["config"], shards=2, shard_backend="inline")
+        scenario["config"], shards=2)
 
 
 @pytest.mark.parametrize("kw, flag", [
@@ -49,9 +49,7 @@ def test_failing_scenario_ends_with_its_reproducer():
     ({"faults": "bogus"}, "--faults"),
     ({"topology": "ring"}, "--topology"),
     ({"dims": "2,x"}, "--dims"),
-    ({"shard_backend": "thread"}, "--shard-backend"),
-], ids=("machine", "faults-host", "faults-token", "topology", "dims",
-        "shard-backend"))
+], ids=("machine", "faults-host", "faults-token", "topology", "dims"))
 def test_config_errors_start_with_their_flag(kw, flag):
     with pytest.raises(ConfigError) as exc:
         ClusterConfig(**kw)

@@ -359,7 +359,6 @@ def test_chaos_credit_scenario_passes_all_invariants():
     from repro.faults.chaos import build_scenarios, run_scenario
     scenario = next(s for s in build_scenarios(seed=1, quick=True)
                     if s["name"] == "credit-regen")
-    result = run_scenario(scenario, shard_counts=(1, 2),
-                          backend="inline")
+    result = run_scenario(scenario, shard_counts=(1, 2))
     assert result["ok"], result["failures"]
     assert result["conservation"]["holds"]

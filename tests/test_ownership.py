@@ -200,8 +200,7 @@ def _spec():
 
 def _trace(tmp_path, n_shards):
     path = tmp_path / f"hb{n_shards}.json"
-    run_cluster_sharded(_kwargs(), _spec(), n_shards,
-                        backend="inline", trace_path=path)
+    run_cluster_sharded(_kwargs(), _spec(), n_shards, trace_path=path)
     return json.loads(path.read_text())
 
 

@@ -193,8 +193,7 @@ def test_recovery_report_is_shard_identical():
     plain = Fabric(**fabric_kwargs)
     result = run_workload(plain, _spec(), max_events=50_000_000)
     base = collect(plain, result).to_json()
-    report, _run_info = run_cluster_sharded(
-        fabric_kwargs, _spec(), 2, backend="inline")
+    report, _run_info = run_cluster_sharded(fabric_kwargs, _spec(), 2)
     assert report.to_json() == base
 
 

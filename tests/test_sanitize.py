@@ -165,10 +165,8 @@ def test_sanitized_sharded_run_is_byte_identical(faulted):
         kwargs["faults"] = FaultPlan.parse("loss=0.01,corrupt=0.002",
                                            seed=1)
         kwargs["credit_regen_timeout_us"] = 500.0
-    plain, _run = run_cluster_sharded(kwargs, _spec(), 2,
-                                      backend="inline")
+    plain, _run = run_cluster_sharded(kwargs, _spec(), 2)
     sanitized, _run = run_cluster_sharded(kwargs, _spec(), 2,
-                                          backend="inline",
                                           sanitize=True)
     assert sanitized.to_json() == plain.to_json()
 

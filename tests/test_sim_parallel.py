@@ -2,7 +2,7 @@
 
 The ring relay below is the smallest model with the fabric's shape:
 every cross-shard message is stamped one lookahead after the emitting
-event.  It runs identically under both backends.
+event.
 """
 
 import pickle
@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from repro.sim import SimulationError, Simulator
-from repro.sim.parallel import BACKENDS, run_shards
+from repro.sim.parallel import run_shards
 
 W = 2.0
 
@@ -59,9 +59,8 @@ def _ring(index, n_shards=3, hops=12):
     return RingRelay(index, n_shards, hops)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_ring_relay_all_backends(backend):
-    run = run_shards(lambda i: _ring(i), 3, W, backend=backend)
+def test_ring_relay():
+    run = run_shards(lambda i: _ring(i), 3, W)
     merged = sorted((entry for p in run.partials for entry in p["log"]))
     assert merged == [(1.0 + W * k, k) for k in range(12)]
     assert run.t_end == 1.0 + W * 11
@@ -72,8 +71,7 @@ def test_ring_relay_all_backends(backend):
 
 
 def test_single_shard_runs_to_completion():
-    run = run_shards(lambda i: RingRelay(i, 1, 8), 1, W,
-                     backend="inline")
+    run = run_shards(lambda i: RingRelay(i, 1, 8), 1, W)
     assert run.partials[0]["log"] == [(1.0 + W * k, k)
                                       for k in range(8)]
 
@@ -85,37 +83,21 @@ def test_idle_peers_do_not_throttle_a_lone_busy_shard():
     # windows as events -- and far fewer than a global-window engine.
     hops = 40
     run = run_shards(lambda i: RingRelay(i, 1, hops) if i == 0
-                     else RingRelay(1, 2, 0), 2, W, backend="inline")
+                     else RingRelay(1, 2, 0), 2, W)
     assert len(run.partials[0]["log"]) == hops
     assert run.windows <= hops // 2 + 2
 
 
-def test_worker_exception_surfaces_with_shard_index():
+def test_shard_exception_propagates_as_itself():
+    """A shard's exception reaches the caller unchanged, as it would
+    from a plain run."""
     class Boom(RingRelay):
         def _hop(self, k):
             raise RuntimeError("kaboom at hop")
 
-    with pytest.raises(SimulationError, match=r"(?s)shard 0.*kaboom"):
-        run_shards(lambda i: Boom(i, 2, 4), 2, W, backend="proc")
-
-
-def test_proc_worker_failure_reads_as_one_line():
-    """A proc shard's error is one line that carries the inline
-    backend's text; the worker's traceback rides on an attribute."""
-    from repro.cluster import WorkloadSpec, run_cluster_sharded
-    from repro.hw import DS5000_200
-
-    kwargs = {"machines": DS5000_200, "n_hosts": 2, "topology": "direct"}
-    with pytest.raises(SimulationError) as inline:
-        run_cluster_sharded(kwargs, WorkloadSpec(), 2, backend="inline")
-    with pytest.raises(SimulationError) as proc:
-        run_cluster_sharded(kwargs, WorkloadSpec(), 2, backend="proc")
-    text = str(inline.value)
-    assert "switched topology" in text
-    assert str(proc.value) == f"shard 0 failed: SimulationError: {text}"
-    assert "\n" not in str(proc.value)
-    assert proc.value.worker_traceback.startswith("Traceback")
-    assert text in proc.value.worker_traceback
+    with pytest.raises(RuntimeError, match="^kaboom at hop$") as exc:
+        run_shards(lambda i: Boom(i, 2, 4), 2, W)
+    assert type(exc.value) is RuntimeError
 
 
 def test_engine_rejects_bad_parameters():
@@ -123,8 +105,6 @@ def test_engine_rejects_bad_parameters():
         run_shards(lambda i: _ring(i), 2, 0.0)
     with pytest.raises(SimulationError):
         run_shards(lambda i: _ring(i), 0, W)
-    with pytest.raises(SimulationError):
-        run_shards(lambda i: _ring(i), 2, W, backend="nope")
 
 
 # ----------------------------------------------------------- coalescing
@@ -164,7 +144,7 @@ class SelfLooper:
 
 
 def test_non_capable_shards_coalesce_to_one_window():
-    run = run_shards(lambda i: SelfLooper(i), 2, W, backend="inline")
+    run = run_shards(lambda i: SelfLooper(i), 2, W)
     # Ten lookaheads of local work, which a fixed schedule would pay a
     # barrier per W for, drain in a single window.
     assert run.windows == 1
@@ -175,7 +155,7 @@ def test_non_capable_shards_coalesce_to_one_window():
 
 def test_window_probe_fires_per_coalesced_window():
     probes = []
-    run = run_shards(lambda i: SelfLooper(i), 2, W, backend="inline",
+    run = run_shards(lambda i: SelfLooper(i), 2, W,
                      window_probe=lambda w, counters:
                      probes.append((w, counters)))
     assert len(probes) == run.windows == 1
@@ -237,7 +217,7 @@ class Sink:
 def test_deliver_only_sink_batches_into_one_window():
     n_msgs = 6
     run = run_shards(lambda i: Sender(n_msgs) if i == 0 else Sink(), 2,
-                     W, backend="inline")
+                     W)
     want = [(1.0 + W * (k + 1), ("m", k)) for k in range(n_msgs)]
     assert run.partials[1]["received"] == want
     assert run.boundary_msgs == n_msgs
@@ -250,9 +230,8 @@ def test_deliver_only_sink_batches_into_one_window():
 # ------------------------------------------------------------ transport
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_transport_ships_pickled_batches(backend):
-    run = run_shards(lambda i: _ring(i), 3, W, backend=backend)
+def test_transport_ships_pickled_batches():
+    run = run_shards(lambda i: _ring(i), 3, W)
     merged = sorted((entry for p in run.partials for entry in p["log"]))
     assert merged == [(1.0 + W * k, k) for k in range(12)]
     # 11 of the 12 hops cross a shard boundary, each alone in its

@@ -58,8 +58,7 @@ def test_conservation_holds(kw, pattern):
                          ids=("clos", "torus"))
 @pytest.mark.parametrize("n_shards", (1, 2, 4))
 def test_sharded_byte_identical(kw, n_shards):
-    report, _run = run_cluster_sharded(kw, _spec("pairs"), n_shards,
-                                       backend="inline")
+    report, _run = run_cluster_sharded(kw, _spec("pairs"), n_shards)
     assert report.to_json() == _baseline(kw, "pairs")
 
 
@@ -71,8 +70,7 @@ def test_sharded_byte_identical_under_faults():
     workload = run_workload(fabric, _spec("incast"))
     plain = collect(fabric, workload).to_json()
     for n_shards in (2, 4):
-        report, _run = run_cluster_sharded(kw, _spec("incast"),
-                                           n_shards, backend="inline")
+        report, _run = run_cluster_sharded(kw, _spec("incast"), n_shards)
         assert report.to_json() == plain
 
 
